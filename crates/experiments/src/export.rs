@@ -2,9 +2,9 @@
 //! `--telemetry-out` / `--timeline` CLI handling for `canaryctl` and the
 //! figure binaries.
 //!
-//! The workspace deliberately carries no JSON dependency, so the writer
-//! and the (flat-object) reader here are hand-rolled. Every trace event
-//! becomes one line:
+//! Every trace event becomes one line, in the wire form that the
+//! `trace_kinds!` schema table in `canary_platform::trace` declares
+//! (DESIGN.md §16):
 //!
 //! ```json
 //! {"at_us":3000000,"kind":"checkpoint_written","fn":1,"state":2,"bytes":65536,"tier":"ramdisk"}
@@ -16,12 +16,7 @@
 //! fixtures.
 
 use crate::scenario::{Scenario, StrategyKind};
-use canary_cluster::{NodeId, StorageTier};
-use canary_container::ContainerId;
-use canary_platform::{
-    FnId, JobId, RecoveryTarget, RunResult, SpanId, TelemetrySnapshot, Trace, TraceEvent, TraceKind,
-};
-use canary_sim::{SimDuration, SimTime};
+use canary_platform::{FnId, RunResult, TelemetrySnapshot, Trace, TraceEvent, TraceKind};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -30,7 +25,8 @@ use std::path::PathBuf;
 /// Export errors (malformed JSONL on the read path).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExportError {
-    /// A line could not be parsed as a flat JSON object.
+    /// A line is not a trace event: not a flat JSON object, or an
+    /// unknown kind, a missing, duplicate or out-of-range field.
     BadLine {
         /// 1-based line number.
         line: usize,
@@ -51,246 +47,10 @@ impl fmt::Display for ExportError {
 
 impl std::error::Error for ExportError {}
 
-fn tier_label(tier: StorageTier) -> &'static str {
-    match tier {
-        StorageTier::KvStore => "kv_store",
-        StorageTier::Ramdisk => "ramdisk",
-        StorageTier::Pmem => "pmem",
-        StorageTier::Nfs => "nfs",
-        StorageTier::ObjectStore => "object_store",
-    }
-}
-
-fn tier_from_label(s: &str) -> Option<StorageTier> {
-    Some(match s {
-        "kv_store" => StorageTier::KvStore,
-        "ramdisk" => StorageTier::Ramdisk,
-        "pmem" => StorageTier::Pmem,
-        "nfs" => StorageTier::Nfs,
-        "object_store" => StorageTier::ObjectStore,
-        _ => return None,
-    })
-}
-
 /// Serialize one trace event as a single JSON line (no trailing newline).
 pub fn trace_event_to_json(e: &TraceEvent) -> String {
-    fn field_u(s: &mut String, k: &str, v: u64) {
-        let _ = write!(s, ",\"{k}\":{v}");
-    }
-    let mut s = format!("{{\"at_us\":{}", e.at.as_micros());
-    match e.kind {
-        TraceKind::JobArrived { job } => {
-            s.push_str(",\"kind\":\"job_arrived\"");
-            field_u(&mut s, "job", job.0 as u64);
-        }
-        TraceKind::JobSubmitted { job } => {
-            s.push_str(",\"kind\":\"job_submitted\"");
-            field_u(&mut s, "job", job.0 as u64);
-        }
-        TraceKind::AttemptStarted {
-            fn_id,
-            attempt,
-            node,
-            warm,
-        } => {
-            s.push_str(",\"kind\":\"attempt_started\"");
-            field_u(&mut s, "fn", fn_id.0);
-            field_u(&mut s, "attempt", attempt as u64);
-            field_u(&mut s, "node", node.0 as u64);
-            let _ = write!(s, ",\"warm\":{warm}");
-        }
-        TraceKind::AttemptFailed {
-            fn_id,
-            attempt,
-            node,
-        } => {
-            s.push_str(",\"kind\":\"attempt_failed\"");
-            field_u(&mut s, "fn", fn_id.0);
-            field_u(&mut s, "attempt", attempt as u64);
-            field_u(&mut s, "node", node.0 as u64);
-        }
-        TraceKind::FunctionCompleted { fn_id } => {
-            s.push_str(",\"kind\":\"function_completed\"");
-            field_u(&mut s, "fn", fn_id.0);
-        }
-        TraceKind::WarmPoolSpawned { container, node } => {
-            s.push_str(",\"kind\":\"warm_pool_spawned\"");
-            field_u(&mut s, "container", container.0);
-            field_u(&mut s, "node", node.0 as u64);
-        }
-        TraceKind::WarmPoolReady { container } => {
-            s.push_str(",\"kind\":\"warm_pool_ready\"");
-            field_u(&mut s, "container", container.0);
-        }
-        TraceKind::NodeFailed { node } => {
-            s.push_str(",\"kind\":\"node_failed\"");
-            field_u(&mut s, "node", node.0 as u64);
-        }
-        TraceKind::CheckpointWritten {
-            fn_id,
-            state,
-            bytes,
-            tier,
-            cost,
-        } => {
-            s.push_str(",\"kind\":\"checkpoint_written\"");
-            field_u(&mut s, "fn", fn_id.0);
-            field_u(&mut s, "state", state as u64);
-            field_u(&mut s, "bytes", bytes);
-            let _ = write!(s, ",\"tier\":\"{}\"", tier_label(tier));
-            // Only recorded under causal observation; omitted when zero
-            // so causal-off output stays byte-identical to the old form.
-            if cost > SimDuration::ZERO {
-                field_u(&mut s, "cost_us", cost.as_micros());
-            }
-        }
-        TraceKind::CheckpointRestored {
-            fn_id,
-            state,
-            bytes,
-            tier,
-        } => {
-            s.push_str(",\"kind\":\"checkpoint_restored\"");
-            field_u(&mut s, "fn", fn_id.0);
-            field_u(&mut s, "state", state as u64);
-            field_u(&mut s, "bytes", bytes);
-            let _ = write!(s, ",\"tier\":\"{}\"", tier_label(tier));
-        }
-        TraceKind::JobQueued { job } => {
-            s.push_str(",\"kind\":\"job_queued\"");
-            field_u(&mut s, "job", job.0 as u64);
-        }
-        TraceKind::JobDequeued { job } => {
-            s.push_str(",\"kind\":\"job_dequeued\"");
-            field_u(&mut s, "job", job.0 as u64);
-        }
-        TraceKind::JobRejected { job } => {
-            s.push_str(",\"kind\":\"job_rejected\"");
-            field_u(&mut s, "job", job.0 as u64);
-        }
-        TraceKind::ReplicaConsumed { container, fn_id } => {
-            s.push_str(",\"kind\":\"replica_consumed\"");
-            field_u(&mut s, "container", container.0);
-            field_u(&mut s, "fn", fn_id.0);
-        }
-        TraceKind::ReplicaRefreshed { spawned, reclaimed } => {
-            s.push_str(",\"kind\":\"replica_refreshed\"");
-            field_u(&mut s, "spawned", spawned as u64);
-            field_u(&mut s, "reclaimed", reclaimed as u64);
-        }
-        TraceKind::RecoveryPlanned {
-            fn_id,
-            target,
-            detect,
-            restore,
-        } => {
-            s.push_str(",\"kind\":\"recovery_planned\"");
-            field_u(&mut s, "fn", fn_id.0);
-            match target {
-                RecoveryTarget::FreshContainer => s.push_str(",\"target\":\"fresh\""),
-                RecoveryTarget::WarmContainer(c) => {
-                    s.push_str(",\"target\":\"warm\"");
-                    field_u(&mut s, "container", c.0);
-                }
-            }
-            field_u(&mut s, "detect_us", detect.as_micros());
-            field_u(&mut s, "restore_us", restore.as_micros());
-        }
-        TraceKind::PartitionStarted { a, b } => {
-            s.push_str(",\"kind\":\"partition_started\"");
-            field_u(&mut s, "a", a.0 as u64);
-            field_u(&mut s, "b", b.0 as u64);
-        }
-        TraceKind::PartitionHealed { a, b } => {
-            s.push_str(",\"kind\":\"partition_healed\"");
-            field_u(&mut s, "a", a.0 as u64);
-            field_u(&mut s, "b", b.0 as u64);
-        }
-        TraceKind::NetworkDegraded { pct } => {
-            s.push_str(",\"kind\":\"network_degraded\"");
-            field_u(&mut s, "pct", pct as u64);
-        }
-        TraceKind::NetworkRestored => {
-            s.push_str(",\"kind\":\"network_restored\"");
-        }
-        TraceKind::StoreOutage { member } => {
-            s.push_str(",\"kind\":\"store_outage\"");
-            field_u(&mut s, "member", member as u64);
-        }
-        TraceKind::StoreRejoined { member } => {
-            s.push_str(",\"kind\":\"store_rejoined\"");
-            field_u(&mut s, "member", member as u64);
-        }
-        TraceKind::StragglerInjected {
-            fn_id,
-            attempt,
-            pct,
-        } => {
-            s.push_str(",\"kind\":\"straggler_injected\"");
-            field_u(&mut s, "fn", fn_id.0);
-            field_u(&mut s, "attempt", attempt as u64);
-            field_u(&mut s, "pct", pct as u64);
-        }
-        TraceKind::CheckpointCorrupted { fn_id, ckpt_id } => {
-            s.push_str(",\"kind\":\"checkpoint_corrupted\"");
-            field_u(&mut s, "fn", fn_id.0);
-            field_u(&mut s, "ckpt", ckpt_id);
-        }
-        TraceKind::CheckpointSkipped { fn_id, state } => {
-            s.push_str(",\"kind\":\"checkpoint_skipped\"");
-            field_u(&mut s, "fn", fn_id.0);
-            field_u(&mut s, "state", state as u64);
-        }
-        TraceKind::RestoreFallback { fn_id, state } => {
-            s.push_str(",\"kind\":\"restore_fallback\"");
-            field_u(&mut s, "fn", fn_id.0);
-            field_u(&mut s, "state", state as u64);
-        }
-        TraceKind::ControllerCrashed => {
-            s.push_str(",\"kind\":\"controller_crashed\"");
-        }
-        TraceKind::ControllerRecovered {
-            snapshot,
-            replayed,
-            torn,
-        } => {
-            s.push_str(",\"kind\":\"controller_recovered\"");
-            field_u(&mut s, "snapshot", snapshot);
-            field_u(&mut s, "replayed", replayed);
-            field_u(&mut s, "torn", torn as u64);
-        }
-        TraceKind::MigrationPlanned {
-            fn_id,
-            container,
-            ckpt_id,
-            chunks,
-            bytes,
-        } => {
-            s.push_str(",\"kind\":\"migration_planned\"");
-            field_u(&mut s, "fn", fn_id.0);
-            field_u(&mut s, "container", container.0);
-            field_u(&mut s, "ckpt", ckpt_id);
-            field_u(&mut s, "chunks", chunks as u64);
-            field_u(&mut s, "bytes", bytes);
-        }
-        TraceKind::MigrationFallback { fn_id } => {
-            s.push_str(",\"kind\":\"migration_fallback\"");
-            field_u(&mut s, "fn", fn_id.0);
-        }
-    }
-    // Causal links ride at the end of the line and only when present, so
-    // traces recorded without `RunConfig::causal` keep their exact
-    // pre-causal bytes (the golden-trace guarantee).
-    if e.span.is_some() {
-        field_u(&mut s, "span", e.span.0);
-        if e.parent.is_some() {
-            field_u(&mut s, "parent", e.parent.0);
-        }
-        if e.cause.is_some() {
-            field_u(&mut s, "cause", e.cause.0);
-        }
-    }
-    s.push('}');
+    let mut s = String::new();
+    e.write_json(&mut s);
     s
 }
 
@@ -298,7 +58,7 @@ pub fn trace_event_to_json(e: &TraceEvent) -> String {
 pub fn trace_to_jsonl(trace: &Trace) -> String {
     let mut out = String::new();
     for e in &trace.events {
-        out.push_str(&trace_event_to_json(e));
+        e.write_json(&mut out);
         out.push('\n');
     }
     out
@@ -344,234 +104,6 @@ pub fn telemetry_to_jsonl(snap: &TelemetrySnapshot) -> String {
     out
 }
 
-/// A flat JSON value (all the exporters emit).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Val {
-    U64(u64),
-    Bool(bool),
-    Str(String),
-}
-
-impl Val {
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Val::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Val::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Val::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one flat JSON object (string/unsigned-integer/bool values, no
-/// nesting, no escapes — exactly what the writers above produce).
-fn parse_flat_json(line: &str) -> Result<BTreeMap<String, Val>, String> {
-    let line = line.trim();
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|r| r.strip_suffix('}'))
-        .ok_or("not an object")?;
-    let mut map = BTreeMap::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        rest = rest
-            .strip_prefix('"')
-            .ok_or("expected quoted key")?
-            .trim_start();
-        let end = rest.find('"').ok_or("unterminated key")?;
-        let key = rest[..end].to_string();
-        rest = rest[end + 1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or("expected ':'")?
-            .trim_start();
-        let (val, tail) = if let Some(r) = rest.strip_prefix('"') {
-            let end = r.find('"').ok_or("unterminated string")?;
-            if r[..end].contains('\\') {
-                return Err("escapes unsupported".into());
-            }
-            (Val::Str(r[..end].to_string()), &r[end + 1..])
-        } else if let Some(r) = rest.strip_prefix("true") {
-            (Val::Bool(true), r)
-        } else if let Some(r) = rest.strip_prefix("false") {
-            (Val::Bool(false), r)
-        } else {
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            if end == 0 {
-                return Err(format!("bad value near {rest:.12?}"));
-            }
-            let n: u64 = rest[..end]
-                .parse()
-                .map_err(|e| format!("bad number: {e}"))?;
-            (Val::U64(n), &rest[end..])
-        };
-        map.insert(key, val);
-        rest = tail.trim_start();
-        match rest.strip_prefix(',') {
-            Some(r) => rest = r.trim_start(),
-            None if rest.is_empty() => break,
-            None => return Err("expected ',' between fields".into()),
-        }
-    }
-    Ok(map)
-}
-
-fn event_from_map(map: &BTreeMap<String, Val>) -> Result<TraceEvent, String> {
-    let u = |k: &str| -> Result<u64, String> {
-        map.get(k)
-            .and_then(Val::as_u64)
-            .ok_or_else(|| format!("missing/invalid field {k:?}"))
-    };
-    let at = SimTime::from_micros(u("at_us")?);
-    let kind_name = map
-        .get("kind")
-        .and_then(Val::as_str)
-        .ok_or("missing field \"kind\"")?;
-    let fn_id = || u("fn").map(FnId);
-    let job = || u("job").map(|j| JobId(j as u32));
-    let node = || u("node").map(|n| NodeId(n as u32));
-    let container = || u("container").map(ContainerId);
-    let tier = || {
-        map.get("tier")
-            .and_then(Val::as_str)
-            .and_then(tier_from_label)
-            .ok_or("missing/unknown tier".to_string())
-    };
-    let kind = match kind_name {
-        "job_arrived" => TraceKind::JobArrived { job: job()? },
-        "job_submitted" => TraceKind::JobSubmitted { job: job()? },
-        "attempt_started" => TraceKind::AttemptStarted {
-            fn_id: fn_id()?,
-            attempt: u("attempt")? as u32,
-            node: node()?,
-            warm: map
-                .get("warm")
-                .and_then(Val::as_bool)
-                .ok_or("missing field \"warm\"")?,
-        },
-        "attempt_failed" => TraceKind::AttemptFailed {
-            fn_id: fn_id()?,
-            attempt: u("attempt")? as u32,
-            node: node()?,
-        },
-        "function_completed" => TraceKind::FunctionCompleted { fn_id: fn_id()? },
-        "warm_pool_spawned" => TraceKind::WarmPoolSpawned {
-            container: container()?,
-            node: node()?,
-        },
-        "warm_pool_ready" => TraceKind::WarmPoolReady {
-            container: container()?,
-        },
-        "node_failed" => TraceKind::NodeFailed { node: node()? },
-        "checkpoint_written" => TraceKind::CheckpointWritten {
-            fn_id: fn_id()?,
-            state: u("state")? as u32,
-            bytes: u("bytes")?,
-            tier: tier()?,
-            cost: SimDuration::from_micros(map.get("cost_us").and_then(Val::as_u64).unwrap_or(0)),
-        },
-        "checkpoint_restored" => TraceKind::CheckpointRestored {
-            fn_id: fn_id()?,
-            state: u("state")? as u32,
-            bytes: u("bytes")?,
-            tier: tier()?,
-        },
-        "job_queued" => TraceKind::JobQueued { job: job()? },
-        "job_dequeued" => TraceKind::JobDequeued { job: job()? },
-        "job_rejected" => TraceKind::JobRejected { job: job()? },
-        "replica_consumed" => TraceKind::ReplicaConsumed {
-            container: container()?,
-            fn_id: fn_id()?,
-        },
-        "replica_refreshed" => TraceKind::ReplicaRefreshed {
-            spawned: u("spawned")? as u32,
-            reclaimed: u("reclaimed")? as u32,
-        },
-        "recovery_planned" => TraceKind::RecoveryPlanned {
-            fn_id: fn_id()?,
-            target: match map.get("target").and_then(Val::as_str) {
-                Some("fresh") => RecoveryTarget::FreshContainer,
-                Some("warm") => RecoveryTarget::WarmContainer(container()?),
-                _ => return Err("missing/unknown target".into()),
-            },
-            detect: SimDuration::from_micros(u("detect_us")?),
-            restore: SimDuration::from_micros(u("restore_us")?),
-        },
-        "partition_started" => TraceKind::PartitionStarted {
-            a: u("a").map(|n| NodeId(n as u32))?,
-            b: u("b").map(|n| NodeId(n as u32))?,
-        },
-        "partition_healed" => TraceKind::PartitionHealed {
-            a: u("a").map(|n| NodeId(n as u32))?,
-            b: u("b").map(|n| NodeId(n as u32))?,
-        },
-        "network_degraded" => TraceKind::NetworkDegraded {
-            pct: u("pct")? as u32,
-        },
-        "network_restored" => TraceKind::NetworkRestored,
-        "store_outage" => TraceKind::StoreOutage {
-            member: u("member")? as u32,
-        },
-        "store_rejoined" => TraceKind::StoreRejoined {
-            member: u("member")? as u32,
-        },
-        "straggler_injected" => TraceKind::StragglerInjected {
-            fn_id: fn_id()?,
-            attempt: u("attempt")? as u32,
-            pct: u("pct")? as u32,
-        },
-        "checkpoint_corrupted" => TraceKind::CheckpointCorrupted {
-            fn_id: fn_id()?,
-            ckpt_id: u("ckpt")?,
-        },
-        "checkpoint_skipped" => TraceKind::CheckpointSkipped {
-            fn_id: fn_id()?,
-            state: u("state")? as u32,
-        },
-        "restore_fallback" => TraceKind::RestoreFallback {
-            fn_id: fn_id()?,
-            state: u("state")? as u32,
-        },
-        "controller_crashed" => TraceKind::ControllerCrashed,
-        "controller_recovered" => TraceKind::ControllerRecovered {
-            snapshot: u("snapshot")?,
-            replayed: u("replayed")?,
-            torn: u("torn")? != 0,
-        },
-        "migration_planned" => TraceKind::MigrationPlanned {
-            fn_id: fn_id()?,
-            container: container()?,
-            ckpt_id: u("ckpt")?,
-            chunks: u("chunks")? as u32,
-            bytes: u("bytes")?,
-        },
-        "migration_fallback" => TraceKind::MigrationFallback { fn_id: fn_id()? },
-        other => return Err(format!("unknown kind {other:?}")),
-    };
-    let link = |k: &str| SpanId(map.get(k).and_then(Val::as_u64).unwrap_or(0));
-    Ok(TraceEvent {
-        at,
-        kind,
-        span: link("span"),
-        parent: link("parent"),
-        cause: link("cause"),
-    })
-}
-
 /// Parse a JSONL trace written by [`trace_to_jsonl`]. Blank lines are
 /// skipped; anything else malformed is an error with its line number.
 pub fn trace_from_jsonl(s: &str) -> Result<Trace, ExportError> {
@@ -580,14 +112,12 @@ pub fn trace_from_jsonl(s: &str) -> Result<Trace, ExportError> {
         if line.trim().is_empty() {
             continue;
         }
-        let map = parse_flat_json(line).map_err(|reason| ExportError::BadLine {
-            line: i + 1,
-            reason,
-        })?;
-        events.push(event_from_map(&map).map_err(|reason| ExportError::BadLine {
-            line: i + 1,
-            reason,
-        })?);
+        events.push(
+            TraceEvent::from_json(line).map_err(|reason| ExportError::BadLine {
+                line: i + 1,
+                reason,
+            })?,
+        );
     }
     Ok(Trace { events })
 }
@@ -597,43 +127,13 @@ pub fn trace_from_jsonl(s: &str) -> Result<Trace, ExportError> {
 // span-per-line JSONL.
 // ---------------------------------------------------------------------
 
-/// Track (Perfetto `tid`) an event renders on: cluster-wide faults on
-/// track 0, job lifecycle on track 1, each function on its own track.
+/// Track (Perfetto `tid`) an event renders on: job lifecycle on track 1,
+/// each function on its own track, cluster-wide faults on track 0.
 fn perfetto_tid(kind: &TraceKind) -> u64 {
-    const CLUSTER: u64 = 0;
-    const JOBS: u64 = 1;
-    const FN_BASE: u64 = 10;
-    match *kind {
-        TraceKind::JobArrived { .. }
-        | TraceKind::JobSubmitted { .. }
-        | TraceKind::JobQueued { .. }
-        | TraceKind::JobDequeued { .. }
-        | TraceKind::JobRejected { .. } => JOBS,
-        TraceKind::AttemptStarted { fn_id, .. }
-        | TraceKind::AttemptFailed { fn_id, .. }
-        | TraceKind::FunctionCompleted { fn_id }
-        | TraceKind::CheckpointWritten { fn_id, .. }
-        | TraceKind::CheckpointRestored { fn_id, .. }
-        | TraceKind::CheckpointCorrupted { fn_id, .. }
-        | TraceKind::CheckpointSkipped { fn_id, .. }
-        | TraceKind::RestoreFallback { fn_id, .. }
-        | TraceKind::RecoveryPlanned { fn_id, .. }
-        | TraceKind::ReplicaConsumed { fn_id, .. }
-        | TraceKind::StragglerInjected { fn_id, .. }
-        | TraceKind::MigrationPlanned { fn_id, .. }
-        | TraceKind::MigrationFallback { fn_id } => FN_BASE + fn_id.0,
-        TraceKind::WarmPoolSpawned { .. }
-        | TraceKind::WarmPoolReady { .. }
-        | TraceKind::ReplicaRefreshed { .. }
-        | TraceKind::NodeFailed { .. }
-        | TraceKind::PartitionStarted { .. }
-        | TraceKind::PartitionHealed { .. }
-        | TraceKind::NetworkDegraded { .. }
-        | TraceKind::NetworkRestored
-        | TraceKind::StoreOutage { .. }
-        | TraceKind::StoreRejoined { .. }
-        | TraceKind::ControllerCrashed
-        | TraceKind::ControllerRecovered { .. } => CLUSTER,
+    match (kind.job(), kind.fn_id()) {
+        (Some(_), _) => 1,
+        (None, Some(fn_id)) => 10 + fn_id.0,
+        (None, None) => 0,
     }
 }
 
@@ -826,15 +326,14 @@ pub fn trace_to_perfetto(trace: &Trace) -> String {
 pub fn spans_to_jsonl(trace: &Trace) -> String {
     let mut out = String::new();
     for e in &trace.events {
-        let map = parse_flat_json(&trace_event_to_json(e)).expect("own writer output parses");
-        let kind = map.get("kind").and_then(Val::as_str).unwrap_or("?");
         let _ = write!(
             out,
-            "{{\"span\":{},\"parent\":{},\"cause\":{},\"at_us\":{},\"kind\":\"{kind}\",\"label\":\"{}\"}}",
+            "{{\"span\":{},\"parent\":{},\"cause\":{},\"at_us\":{},\"kind\":\"{}\",\"label\":\"{}\"}}",
             e.span.0,
             e.parent.0,
             e.cause.0,
             e.at.as_micros(),
+            e.kind.name(),
             event_label(e),
         );
         out.push('\n');
@@ -991,6 +490,11 @@ pub fn maybe_export_observed_run() -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canary_cluster::{NodeId, StorageTier};
+    use canary_container::ContainerId;
+    use canary_platform::trace::parse_flat_json;
+    use canary_platform::{JobId, RecoveryTarget, SpanId};
+    use canary_sim::{SimDuration, SimTime};
 
     fn all_variants() -> Vec<TraceEvent> {
         let t = |us| SimTime::from_micros(us);
@@ -1162,6 +666,13 @@ mod tests {
         assert_eq!(jsonl.lines().count(), trace.events.len());
         let back = trace_from_jsonl(&jsonl).unwrap();
         assert_eq!(back.events, trace.events);
+        // The fixture covers every row of the schema table.
+        let mut covered: Vec<&str> = trace.events.iter().map(|e| e.kind.name()).collect();
+        covered.sort_unstable();
+        covered.dedup();
+        let mut names = TraceKind::NAMES.to_vec();
+        names.sort_unstable();
+        assert_eq!(covered, names, "all_variants() misses a TraceKind");
     }
 
     #[test]
@@ -1185,6 +696,35 @@ mod tests {
             }
         }
         assert!(trace_from_jsonl("not json").is_err());
+        // Input the reader would otherwise silently change is rejected
+        // with its line number: a truncated u32, a flag outside 0/1, and
+        // a duplicate key.
+        let good = "{\"at_us\":1,\"kind\":\"node_failed\",\"node\":2}\n";
+        for (bad, needle) in [
+            (
+                "{\"at_us\":2,\"kind\":\"attempt_failed\",\"fn\":1,\"attempt\":4294967296,\"node\":0}",
+                "out of range",
+            ),
+            (
+                "{\"at_us\":2,\"kind\":\"node_failed\",\"node\":4294967296}",
+                "out of range",
+            ),
+            (
+                "{\"at_us\":2,\"kind\":\"controller_recovered\",\"snapshot\":1,\"replayed\":2,\"torn\":2}",
+                "0 or 1",
+            ),
+            (
+                "{\"at_us\":2,\"kind\":\"function_completed\",\"fn\":1,\"fn\":2}",
+                "duplicate key",
+            ),
+        ] {
+            match trace_from_jsonl(&format!("{good}{good}{bad}\n")).unwrap_err() {
+                ExportError::BadLine { line, reason } => {
+                    assert_eq!(line, 3, "{bad}");
+                    assert!(reason.contains(needle), "{bad}: {reason}");
+                }
+            }
+        }
     }
 
     #[test]

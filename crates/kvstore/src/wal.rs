@@ -326,7 +326,9 @@ impl SnapshotState {
         need(off, 8)?;
         let count = read_u64(body, off) as usize;
         off += 8;
-        let mut entries = Vec::with_capacity(count.min(1 << 20));
+        // Every entry carries two 4-byte length prefixes, so a count the
+        // remaining body cannot hold is corrupt; never preallocate past it.
+        let mut entries = Vec::with_capacity(count.min((body.len() - off) / 8));
         for _ in 0..count {
             need(off, 4)?;
             let klen = read_u32(body, off) as usize;
@@ -857,6 +859,22 @@ mod tests {
         assert!(matches!(
             reopened.replay().unwrap_err(),
             WalError::SnapshotCorrupt { .. }
+        ));
+    }
+
+    #[test]
+    fn snapshot_with_huge_count_and_short_body_is_typed() {
+        let mut body = Vec::new();
+        put_u64(&mut body, 0); // generation
+        put_u32(&mut body, 0); // no members
+        put_u64(&mut body, u64::MAX); // entry count the body cannot hold
+        put_u32(&mut body, 1);
+        body.push(b'k');
+        let crc = crc32(&body);
+        put_u32(&mut body, crc);
+        assert!(matches!(
+            SnapshotState::decode(&body),
+            Err(WalError::SnapshotCorrupt { .. })
         ));
     }
 

@@ -9,6 +9,10 @@
 //! `canary_metrics::timeline` as well as the JSONL exporter in
 //! `canary_experiments::export`. Aggregate latency statistics live in the
 //! companion [`crate::telemetry`] layer.
+//!
+//! The JSONL wire form is declared here once: the `trace_kinds!` table
+//! below gives every kind its wire name and field keys, and generates the
+//! enum, its line writer and its parser from them (DESIGN.md §16).
 
 use crate::ids::{FnId, JobId};
 use crate::strategy::RecoveryTarget;
@@ -17,6 +21,12 @@ use canary_container::ContainerId;
 use canary_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::fmt::Write as _;
+use wire::{put_u64, Codec, OmitZero, ZeroOne};
+
+mod wire;
+
+pub use wire::{parse_flat_json, FlatObject, Val};
 
 /// Identity of one trace span. Every emitted [`TraceEvent`] gets a fresh
 /// `SpanId` at emit time when [`crate::RunConfig::causal`] is on; the id
@@ -48,231 +58,331 @@ impl fmt::Display for SpanId {
     }
 }
 
-/// What happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TraceKind {
-    /// A job's request arrived at the platform (client submission). Under
-    /// open-loop load this precedes admission — the gap to the matching
-    /// [`TraceKind::JobSubmitted`] is the job's queue wait.
-    JobArrived {
-        /// The job.
-        job: JobId,
-    },
-    /// A job was admitted by the controller.
-    JobSubmitted {
-        /// The job.
-        job: JobId,
-    },
-    /// A function attempt began executing.
-    AttemptStarted {
-        /// The function.
-        fn_id: FnId,
-        /// Attempt number (1-based).
-        attempt: u32,
-        /// Hosting node.
-        node: NodeId,
-        /// True when resumed on a warm container.
-        warm: bool,
-    },
-    /// An attempt was killed.
-    AttemptFailed {
-        /// The function.
-        fn_id: FnId,
-        /// Attempt number that died.
-        attempt: u32,
-        /// Node it died on.
-        node: NodeId,
-    },
-    /// A function completed.
-    FunctionCompleted {
-        /// The function.
-        fn_id: FnId,
-    },
-    /// A replica/standby container was created.
-    WarmPoolSpawned {
-        /// The container.
-        container: ContainerId,
-        /// Node hosting it.
-        node: NodeId,
-    },
-    /// A replica/standby finished its cold start.
-    WarmPoolReady {
-        /// The container.
-        container: ContainerId,
-    },
-    /// A node crashed.
-    NodeFailed {
-        /// The node.
-        node: NodeId,
-    },
-    /// A checkpoint became durable on a storage tier.
-    CheckpointWritten {
-        /// The function whose state was checkpointed.
-        fn_id: FnId,
-        /// State index the checkpoint covers.
-        state: u32,
-        /// Serialized payload size.
-        bytes: u64,
-        /// Tier it landed on.
-        tier: StorageTier,
-        /// Synchronous write cost charged to the attempt's execution
-        /// timeline. Recorded only under [`crate::RunConfig::causal`]
-        /// (zero otherwise) so critical-path blame can split an attempt's
-        /// wall time into exec vs checkpoint components.
-        #[serde(default)]
-        cost: SimDuration,
-    },
-    /// A checkpoint was read back during recovery.
-    CheckpointRestored {
-        /// The recovering function.
-        fn_id: FnId,
-        /// State index execution resumes from.
-        state: u32,
-        /// Payload size read.
-        bytes: u64,
-        /// Tier it was read from.
-        tier: StorageTier,
-    },
-    /// The validator parked a job in its admission queue.
-    JobQueued {
-        /// The job.
-        job: JobId,
-    },
-    /// The validator released a queued job for execution.
-    JobDequeued {
-        /// The job.
-        job: JobId,
-    },
-    /// The validator rejected a job outright.
-    JobRejected {
-        /// The job.
-        job: JobId,
-    },
-    /// A warm replica was consumed by a recovery.
-    ReplicaConsumed {
-        /// The container now hosting the function.
-        container: ContainerId,
-        /// The recovered function.
-        fn_id: FnId,
-    },
-    /// Pool reconciliation refreshed a runtime's replica pool after a
-    /// loss or demand change.
-    ReplicaRefreshed {
-        /// Replicas spawned this round.
-        spawned: u32,
-        /// Surplus idle replicas reclaimed this round.
-        reclaimed: u32,
-    },
-    /// The strategy issued a recovery plan for a failed attempt.
-    RecoveryPlanned {
-        /// The failed function.
-        fn_id: FnId,
-        /// Where the recovered attempt runs.
-        target: RecoveryTarget,
-        /// Failure-detection share of the recovery delay.
-        detect: SimDuration,
-        /// Restore share of the recovery delay.
-        restore: SimDuration,
-    },
-    /// A chaos fault partitioned a node pair.
-    PartitionStarted {
-        /// One endpoint of the pair.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-    },
-    /// A chaos node-pair partition healed.
-    PartitionHealed {
-        /// One endpoint of the pair.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-    },
-    /// Cluster-wide network degradation began.
-    NetworkDegraded {
-        /// Slowdown in percent (250 = 2.5× slower).
-        pct: u32,
-    },
-    /// Cluster-wide network degradation ended.
-    NetworkRestored,
-    /// A replicated-store member went down (checkpoint store/metadata DB).
-    StoreOutage {
-        /// Member index within the replica group.
-        member: u32,
-    },
-    /// A previously-failed store member rejoined the replica group.
-    StoreRejoined {
-        /// Member index within the replica group.
-        member: u32,
-    },
-    /// An attempt was slowed down by an injected straggler fault.
-    StragglerInjected {
-        /// The slowed function.
-        fn_id: FnId,
-        /// The slowed attempt (1-based).
-        attempt: u32,
-        /// Slowdown in percent (400 = 4× slower).
-        pct: u32,
-    },
-    /// A retained checkpoint was found corrupted while probing for a
-    /// restore point.
-    CheckpointCorrupted {
-        /// The recovering function.
-        fn_id: FnId,
-        /// The corrupted checkpoint.
-        ckpt_id: u64,
-    },
-    /// A checkpoint write was dropped because the store was unavailable.
-    CheckpointSkipped {
-        /// The function whose checkpoint was lost.
-        fn_id: FnId,
-        /// State index the dropped checkpoint would have covered.
-        state: u32,
-    },
-    /// A restore fell back past the newest checkpoint (state 0 means a
-    /// full rerun from the start).
-    RestoreFallback {
-        /// The recovering function.
-        fn_id: FnId,
-        /// State index execution actually resumes from.
-        state: u32,
-    },
-    /// The control plane's metadata substrate crashed: every in-memory
-    /// copy is lost and the write in flight is torn mid-record.
-    ControllerCrashed,
-    /// The control plane restarted, rebuilding its metadata from the
-    /// write-ahead log (snapshot + replayed records). With durability off
-    /// both counts are 0 and the metadata is simply gone.
-    ControllerRecovered {
-        /// Rows loaded from the compacted snapshot.
-        snapshot: u64,
-        /// Log records replayed on top of the snapshot.
-        replayed: u64,
-        /// Whether a torn trailing record was found and discarded.
-        torn: bool,
-    },
-    /// Live migration (DESIGN.md §14): a node crash is recovered by
-    /// moving the function's manifest-reachable checkpoint state to a
-    /// warm replica on a surviving node — only the chunks the replica
-    /// lacks travel.
-    MigrationPlanned {
-        /// The migrating function.
-        fn_id: FnId,
-        /// The warm replica receiving the state.
-        container: ContainerId,
-        /// The checkpoint the replica resumes from.
-        ckpt_id: u64,
-        /// Chunks actually shipped (the delta).
-        chunks: u32,
-        /// Bytes actually shipped.
-        bytes: u64,
-    },
-    /// Migration found no usable checkpoint (all retained ones corrupted
-    /// or their rows lost): the warm replica reruns from the start.
-    MigrationFallback {
-        /// The function rerunning from state 0.
-        fn_id: FnId,
-    },
+/// Declares [`TraceKind`] from one schema table (DESIGN.md §16). Each row
+/// is a variant with its docs, its snake-case wire name, and its fields;
+/// a field's JSON key is its name unless the row gives `= "key"`, and its
+/// encoding is its type's [`Codec`] unless the row names a quirk codec in
+/// brackets. From the table come the enum, `NAMES`, `name()`, the
+/// `fn_id()`/`job()` accessors, and the JSONL field writer and parser.
+macro_rules! trace_kinds {
+    (
+        $(#[$meta:meta])*
+        pub enum TraceKind {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $wire:literal $({
+                    $(
+                        $(#[$fmeta:meta])*
+                        $field:ident: $ty:ty $(= $key:literal)? $([$codec:ty])?
+                    ),* $(,)?
+                })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum TraceKind {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $($(#[$fmeta])* $field: $ty),* })?,
+            )*
+        }
+
+        impl TraceKind {
+            /// Every kind's wire name, in table order.
+            pub const NAMES: &'static [&'static str] = &[$($wire),*];
+
+            /// This kind's wire name (the JSONL `kind` value).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(TraceKind::$variant { .. } => $wire,)*
+                }
+            }
+
+            /// The function this event concerns (the row's `fn_id` field).
+            #[allow(unused_variables)]
+            pub fn fn_id(&self) -> Option<FnId> {
+                match *self {
+                    $(TraceKind::$variant { $($($field),*)? } => {
+                        None $($(.or(trace_kinds!(@get fn_id $field $field)))*)?
+                    })*
+                }
+            }
+
+            /// The job this event concerns (the row's `job` field).
+            #[allow(unused_variables)]
+            pub fn job(&self) -> Option<JobId> {
+                match *self {
+                    $(TraceKind::$variant { $($($field),*)? } => {
+                        None $($(.or(trace_kinds!(@get job $field $field)))*)?
+                    })*
+                }
+            }
+
+            /// Append this kind's fields as `,"key":value` pairs.
+            fn write_fields(&self, out: &mut String) {
+                match *self {
+                    $(TraceKind::$variant { $($($field),*)? } => {
+                        $($(
+                            <trace_kinds!(@codec $ty $(, $codec)?) as Codec<$ty>>::put(
+                                $field,
+                                trace_kinds!(@key $field $($key)?),
+                                out,
+                            );
+                        )*)?
+                    })*
+                }
+            }
+
+            /// Rebuild the kind named `name` from a parsed line's fields.
+            fn from_fields(name: &str, obj: &FlatObject<'_>) -> Result<TraceKind, String> {
+                Ok(match name {
+                    $($wire => TraceKind::$variant { $($(
+                        $field: <trace_kinds!(@codec $ty $(, $codec)?) as Codec<$ty>>::take(
+                            obj,
+                            trace_kinds!(@key $field $($key)?),
+                        )?,
+                    )*)? },)*
+                    other => return Err(format!("unknown kind {other:?}")),
+                })
+            }
+        }
+    };
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    (@codec $ty:ty, $codec:ty) => { $codec };
+    (@codec $ty:ty) => { $ty };
+    (@get fn_id fn_id $v:ident) => { Some($v) };
+    (@get job job $v:ident) => { Some($v) };
+    (@get $want:ident $field:ident $v:ident) => { None };
+}
+
+trace_kinds! {
+    /// What happened.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub enum TraceKind {
+        /// A job's request arrived at the platform (client submission). Under
+        /// open-loop load this precedes admission — the gap to the matching
+        /// [`TraceKind::JobSubmitted`] is the job's queue wait.
+        JobArrived = "job_arrived" {
+            /// The job.
+            job: JobId,
+        },
+        /// A job was admitted by the controller.
+        JobSubmitted = "job_submitted" {
+            /// The job.
+            job: JobId,
+        },
+        /// A function attempt began executing.
+        AttemptStarted = "attempt_started" {
+            /// The function.
+            fn_id: FnId = "fn",
+            /// Attempt number (1-based).
+            attempt: u32,
+            /// Hosting node.
+            node: NodeId,
+            /// True when resumed on a warm container.
+            warm: bool,
+        },
+        /// An attempt was killed.
+        AttemptFailed = "attempt_failed" {
+            /// The function.
+            fn_id: FnId = "fn",
+            /// Attempt number that died.
+            attempt: u32,
+            /// Node it died on.
+            node: NodeId,
+        },
+        /// A function completed.
+        FunctionCompleted = "function_completed" {
+            /// The function.
+            fn_id: FnId = "fn",
+        },
+        /// A replica/standby container was created.
+        WarmPoolSpawned = "warm_pool_spawned" {
+            /// The container.
+            container: ContainerId,
+            /// Node hosting it.
+            node: NodeId,
+        },
+        /// A replica/standby finished its cold start.
+        WarmPoolReady = "warm_pool_ready" {
+            /// The container.
+            container: ContainerId,
+        },
+        /// A node crashed.
+        NodeFailed = "node_failed" {
+            /// The node.
+            node: NodeId,
+        },
+        /// A checkpoint became durable on a storage tier.
+        CheckpointWritten = "checkpoint_written" {
+            /// The function whose state was checkpointed.
+            fn_id: FnId = "fn",
+            /// State index the checkpoint covers.
+            state: u32,
+            /// Serialized payload size.
+            bytes: u64,
+            /// Tier it landed on.
+            tier: StorageTier,
+            /// Synchronous write cost charged to the attempt's execution
+            /// timeline. Recorded only under [`crate::RunConfig::causal`]
+            /// (zero otherwise) so critical-path blame can split an attempt's
+            /// wall time into exec vs checkpoint components.
+            #[serde(default)]
+            cost: SimDuration = "cost_us" [OmitZero],
+        },
+        /// A checkpoint was read back during recovery.
+        CheckpointRestored = "checkpoint_restored" {
+            /// The recovering function.
+            fn_id: FnId = "fn",
+            /// State index execution resumes from.
+            state: u32,
+            /// Payload size read.
+            bytes: u64,
+            /// Tier it was read from.
+            tier: StorageTier,
+        },
+        /// The validator parked a job in its admission queue.
+        JobQueued = "job_queued" {
+            /// The job.
+            job: JobId,
+        },
+        /// The validator released a queued job for execution.
+        JobDequeued = "job_dequeued" {
+            /// The job.
+            job: JobId,
+        },
+        /// The validator rejected a job outright.
+        JobRejected = "job_rejected" {
+            /// The job.
+            job: JobId,
+        },
+        /// A warm replica was consumed by a recovery.
+        ReplicaConsumed = "replica_consumed" {
+            /// The container now hosting the function.
+            container: ContainerId,
+            /// The recovered function.
+            fn_id: FnId = "fn",
+        },
+        /// Pool reconciliation refreshed a runtime's replica pool after a
+        /// loss or demand change.
+        ReplicaRefreshed = "replica_refreshed" {
+            /// Replicas spawned this round.
+            spawned: u32,
+            /// Surplus idle replicas reclaimed this round.
+            reclaimed: u32,
+        },
+        /// The strategy issued a recovery plan for a failed attempt.
+        RecoveryPlanned = "recovery_planned" {
+            /// The failed function.
+            fn_id: FnId = "fn",
+            /// Where the recovered attempt runs.
+            target: RecoveryTarget,
+            /// Failure-detection share of the recovery delay.
+            detect: SimDuration = "detect_us",
+            /// Restore share of the recovery delay.
+            restore: SimDuration = "restore_us",
+        },
+        /// A chaos fault partitioned a node pair.
+        PartitionStarted = "partition_started" {
+            /// One endpoint of the pair.
+            a: NodeId,
+            /// The other endpoint.
+            b: NodeId,
+        },
+        /// A chaos node-pair partition healed.
+        PartitionHealed = "partition_healed" {
+            /// One endpoint of the pair.
+            a: NodeId,
+            /// The other endpoint.
+            b: NodeId,
+        },
+        /// Cluster-wide network degradation began.
+        NetworkDegraded = "network_degraded" {
+            /// Slowdown in percent (250 = 2.5× slower).
+            pct: u32,
+        },
+        /// Cluster-wide network degradation ended.
+        NetworkRestored = "network_restored",
+        /// A replicated-store member went down (checkpoint store/metadata DB).
+        StoreOutage = "store_outage" {
+            /// Member index within the replica group.
+            member: u32,
+        },
+        /// A previously-failed store member rejoined the replica group.
+        StoreRejoined = "store_rejoined" {
+            /// Member index within the replica group.
+            member: u32,
+        },
+        /// An attempt was slowed down by an injected straggler fault.
+        StragglerInjected = "straggler_injected" {
+            /// The slowed function.
+            fn_id: FnId = "fn",
+            /// The slowed attempt (1-based).
+            attempt: u32,
+            /// Slowdown in percent (400 = 4× slower).
+            pct: u32,
+        },
+        /// A retained checkpoint was found corrupted while probing for a
+        /// restore point.
+        CheckpointCorrupted = "checkpoint_corrupted" {
+            /// The recovering function.
+            fn_id: FnId = "fn",
+            /// The corrupted checkpoint.
+            ckpt_id: u64 = "ckpt",
+        },
+        /// A checkpoint write was dropped because the store was unavailable.
+        CheckpointSkipped = "checkpoint_skipped" {
+            /// The function whose checkpoint was lost.
+            fn_id: FnId = "fn",
+            /// State index the dropped checkpoint would have covered.
+            state: u32,
+        },
+        /// A restore fell back past the newest checkpoint (state 0 means a
+        /// full rerun from the start).
+        RestoreFallback = "restore_fallback" {
+            /// The recovering function.
+            fn_id: FnId = "fn",
+            /// State index execution actually resumes from.
+            state: u32,
+        },
+        /// The control plane's metadata substrate crashed: every in-memory
+        /// copy is lost and the write in flight is torn mid-record.
+        ControllerCrashed = "controller_crashed",
+        /// The control plane restarted, rebuilding its metadata from the
+        /// write-ahead log (snapshot + replayed records). With durability off
+        /// both counts are 0 and the metadata is simply gone.
+        ControllerRecovered = "controller_recovered" {
+            /// Rows loaded from the compacted snapshot.
+            snapshot: u64,
+            /// Log records replayed on top of the snapshot.
+            replayed: u64,
+            /// Whether a torn trailing record was found and discarded.
+            torn: bool [ZeroOne],
+        },
+        /// Live migration (DESIGN.md §14): a node crash is recovered by
+        /// moving the function's manifest-reachable checkpoint state to a
+        /// warm replica on a surviving node — only the chunks the replica
+        /// lacks travel.
+        MigrationPlanned = "migration_planned" {
+            /// The migrating function.
+            fn_id: FnId = "fn",
+            /// The warm replica receiving the state.
+            container: ContainerId,
+            /// The checkpoint the replica resumes from.
+            ckpt_id: u64 = "ckpt",
+            /// Chunks actually shipped (the delta).
+            chunks: u32,
+            /// Bytes actually shipped.
+            bytes: u64,
+        },
+        /// Migration found no usable checkpoint (all retained ones corrupted
+        /// or their rows lost): the warm replica reruns from the start.
+        MigrationFallback = "migration_fallback" {
+            /// The function rerunning from state 0.
+            fn_id: FnId = "fn",
+        },
+    }
 }
 
 /// One trace record.
@@ -307,6 +417,42 @@ impl TraceEvent {
             parent: SpanId::NONE,
             cause: SpanId::NONE,
         }
+    }
+
+    /// Append this event's JSONL line (no trailing newline):
+    /// `{"at_us":N,"kind":"name",<fields>}`, with the causal links at the
+    /// end and only when present, so traces recorded without
+    /// [`crate::RunConfig::causal`] keep their exact pre-causal bytes.
+    pub fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{{\"at_us\":{},\"kind\":\"", self.at.as_micros());
+        out.push_str(self.kind.name());
+        out.push('"');
+        self.kind.write_fields(out);
+        if self.span.is_some() {
+            put_u64(self.span.0, "span", out);
+            if self.parent.is_some() {
+                put_u64(self.parent.0, "parent", out);
+            }
+            if self.cause.is_some() {
+                put_u64(self.cause.0, "cause", out);
+            }
+        }
+        out.push('}');
+    }
+
+    /// Parse one line written by [`TraceEvent::write_json`].
+    pub fn from_json(line: &str) -> Result<TraceEvent, String> {
+        let obj = parse_flat_json(line)?;
+        let at = SimTime::from_micros(obj.u64("at_us")?);
+        let kind = TraceKind::from_fields(obj.str("kind")?, &obj)?;
+        let link = |key| obj.opt_u64(key).map(|v| SpanId(v.unwrap_or(0)));
+        Ok(TraceEvent {
+            at,
+            kind,
+            span: link("span")?,
+            parent: link("parent")?,
+            cause: link("cause")?,
+        })
     }
 }
 
@@ -732,6 +878,26 @@ mod tests {
                 "fallback fn3 rerun from start",
             ),
             (
+                TraceKind::ControllerCrashed,
+                "CTRL     control plane crashed (metadata lost)",
+            ),
+            (
+                TraceKind::ControllerRecovered {
+                    snapshot: 12,
+                    replayed: 34,
+                    torn: false,
+                },
+                "ctrl     recovered from WAL: 12 snapshot rows + 34 records",
+            ),
+            (
+                TraceKind::ControllerRecovered {
+                    snapshot: 12,
+                    replayed: 34,
+                    torn: true,
+                },
+                "ctrl     recovered from WAL: 12 snapshot rows + 34 records (torn tail discarded)",
+            ),
+            (
                 TraceKind::MigrationPlanned {
                     fn_id: FnId(3),
                     container: ContainerId(9),
@@ -746,6 +912,13 @@ mod tests {
                 "fallback fn3 migration found no usable ckpt",
             ),
         ];
+        // The fixture covers every row of the schema table.
+        for name in TraceKind::NAMES {
+            assert!(
+                cases.iter().any(|(kind, _)| kind.name() == *name),
+                "no display snapshot for {name}"
+            );
+        }
         for (kind, expect) in cases {
             let line = ev(2_000_000, kind).to_string();
             assert_eq!(

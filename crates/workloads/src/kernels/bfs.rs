@@ -119,6 +119,13 @@ impl Resumable for BfsKernel {
         let next = d.u64("bfs next")?;
         let acc = d.u64("bfs acc")?;
         let n = d.u32("bfs levels len")? as usize;
+        if d.remaining() < n * 8 {
+            return Err(CodecError::BadLength {
+                what: "bfs levels len",
+                len: n * 8,
+                remaining: d.remaining(),
+            });
+        }
         let mut level_counts = Vec::with_capacity(n);
         for _ in 0..n {
             level_counts.push(d.u64("bfs level count")?);
@@ -201,6 +208,21 @@ mod tests {
         let mut bytes = k.encode(&k.init()).to_vec();
         bytes[0] = 9;
         assert!(k.decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_huge_level_count_with_short_body() {
+        // A level count near u32::MAX followed by too few bytes must be a
+        // typed error, not an attempt to preallocate tens of gigabytes.
+        let mut bytes = vec![1u8];
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&0x8E00_0000u32.to_le_bytes());
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        assert!(matches!(
+            BfsKernel::new(10, 2).decode(&bytes),
+            Err(CodecError::BadLength { len, remaining: 8, .. }) if len == 0x8E00_0000 * 8
+        ));
     }
 
     #[test]

@@ -26,41 +26,6 @@ fn obs_scenario() -> Scenario {
     s
 }
 
-fn kind_name(kind: &TraceKind) -> &'static str {
-    match kind {
-        TraceKind::JobArrived { .. } => "job_arrived",
-        TraceKind::JobSubmitted { .. } => "job_submitted",
-        TraceKind::JobQueued { .. } => "job_queued",
-        TraceKind::JobDequeued { .. } => "job_dequeued",
-        TraceKind::JobRejected { .. } => "job_rejected",
-        TraceKind::AttemptStarted { .. } => "attempt_started",
-        TraceKind::AttemptFailed { .. } => "attempt_failed",
-        TraceKind::FunctionCompleted { .. } => "function_completed",
-        TraceKind::NodeFailed { .. } => "node_failed",
-        TraceKind::CheckpointWritten { .. } => "checkpoint_written",
-        TraceKind::CheckpointRestored { .. } => "checkpoint_restored",
-        TraceKind::RecoveryPlanned { .. } => "recovery_planned",
-        TraceKind::WarmPoolSpawned { .. } => "warm_pool_spawned",
-        TraceKind::WarmPoolReady { .. } => "warm_pool_ready",
-        TraceKind::ReplicaConsumed { .. } => "replica_consumed",
-        TraceKind::ReplicaRefreshed { .. } => "replica_refreshed",
-        TraceKind::PartitionStarted { .. } => "partition_started",
-        TraceKind::PartitionHealed { .. } => "partition_healed",
-        TraceKind::NetworkDegraded { .. } => "network_degraded",
-        TraceKind::NetworkRestored => "network_restored",
-        TraceKind::StoreOutage { .. } => "store_outage",
-        TraceKind::StoreRejoined { .. } => "store_rejoined",
-        TraceKind::StragglerInjected { .. } => "straggler_injected",
-        TraceKind::CheckpointCorrupted { .. } => "checkpoint_corrupted",
-        TraceKind::CheckpointSkipped { .. } => "checkpoint_skipped",
-        TraceKind::RestoreFallback { .. } => "restore_fallback",
-        TraceKind::ControllerCrashed => "controller_crashed",
-        TraceKind::ControllerRecovered { .. } => "controller_recovered",
-        TraceKind::MigrationPlanned { .. } => "migration_planned",
-        TraceKind::MigrationFallback { .. } => "migration_fallback",
-    }
-}
-
 /// Fixed seed + fixed scenario must reproduce the exact same event
 /// sequence run after run, and that sequence must tell the recovery
 /// story in the right grammar.
@@ -68,8 +33,8 @@ fn kind_name(kind: &TraceKind) -> &'static str {
 fn golden_trace_is_deterministic_and_well_formed() {
     let a = obs_scenario().run_observed(CANARY, 42);
     let b = obs_scenario().run_observed(CANARY, 42);
-    let kinds_a: Vec<&str> = a.trace.events.iter().map(|e| kind_name(&e.kind)).collect();
-    let kinds_b: Vec<&str> = b.trace.events.iter().map(|e| kind_name(&e.kind)).collect();
+    let kinds_a: Vec<&str> = a.trace.events.iter().map(|e| e.kind.name()).collect();
+    let kinds_b: Vec<&str> = b.trace.events.iter().map(|e| e.kind.name()).collect();
     assert_eq!(kinds_a, kinds_b, "same seed must give identical traces");
     assert_eq!(trace_to_jsonl(&a.trace), trace_to_jsonl(&b.trace));
 
@@ -96,6 +61,35 @@ fn golden_trace_is_deterministic_and_well_formed() {
         .filter(|k| **k == "checkpoint_restored")
         .count();
     assert_eq!(plans, restores, "each planned recovery restores once");
+}
+
+/// Every committed golden trace parses and re-encodes byte-for-byte: the
+/// schema table's writer and parser agree on real traces, not just on
+/// hand-built fixtures.
+#[test]
+fn committed_golden_traces_round_trip_byte_for_byte() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().and_then(|e| e.to_str()) != Some("jsonl") {
+            continue;
+        }
+        let raw = std::fs::read_to_string(&path).unwrap();
+        let trace = trace_from_jsonl(&raw)
+            .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
+        assert!(!trace.events.is_empty(), "{} is empty", path.display());
+        assert!(
+            trace_to_jsonl(&trace) == raw,
+            "{} does not re-encode byte-for-byte",
+            path.display()
+        );
+        checked += 1;
+    }
+    assert!(
+        checked >= 6,
+        "expected the 6 committed golden traces, found {checked}"
+    );
 }
 
 /// Observation is read-only: the same seed with trace+telemetry enabled
