@@ -4,13 +4,14 @@
 
 use canary_core::ReplicationStrategyKind;
 use canary_experiments::{Scenario, StrategyKind};
-use canary_platform::{Counter, JobSpec, Phase, Telemetry};
+use canary_platform::{Counter, JobSpec, Phase, RunCounters, Telemetry};
 use canary_sim::{SimDuration, SimTime};
 use canary_workloads::{WorkloadKind, WorkloadSpec};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-/// Hot-path cost of one observe + incr + span pair, disabled vs enabled.
+/// Hot-path cost of one observe + counter add + span pair, disabled vs
+/// enabled.
 fn bench_telemetry_calls(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_calls");
     group.throughput(Throughput::Elements(10_000));
@@ -19,13 +20,14 @@ fn bench_telemetry_calls(c: &mut Criterion) {
         group.bench_function(label, |b| {
             b.iter(|| {
                 let mut tel = Telemetry::new(enabled);
+                let mut counters = RunCounters::default();
                 for i in 0..10_000u64 {
                     tel.observe(Phase::CheckpointWrite, SimDuration::from_micros(i % 4096));
-                    tel.incr(Counter::CheckpointsWritten);
+                    counters.add(Counter::CheckpointsWritten, 1);
                     tel.span_start(Phase::RecoveryE2E, i, SimTime::from_micros(i));
                     tel.span_end(Phase::RecoveryE2E, i, SimTime::from_micros(i + 500));
                 }
-                black_box(tel.snapshot())
+                black_box(tel.snapshot(&counters))
             })
         });
     }

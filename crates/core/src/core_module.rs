@@ -166,7 +166,7 @@ impl CanaryStrategy {
         };
         for &ckpt_id in &lookup.corrupted {
             platform.emit(TraceKind::CheckpointCorrupted { fn_id, ckpt_id });
-            platform.telemetry_mut().incr(Counter::CheckpointsCorrupted);
+            platform.count(Counter::CheckpointsCorrupted, 1);
             self.land_chunk_corruption(platform, fn_id, ckpt_id);
         }
         match lookup.info {
@@ -198,19 +198,18 @@ impl CanaryStrategy {
                         fn_id,
                         state: info.resume_from_state,
                     });
-                    platform.counters_mut().restore_fallbacks += 1;
-                    platform.telemetry_mut().incr(Counter::RestoreFallbacks);
+                    platform.count(Counter::RestoreFallbacks, 1);
                 }
-                platform.note_restore();
+                platform.count(Counter::Restores, 1);
                 platform.emit(TraceKind::CheckpointRestored {
                     fn_id,
                     state: info.resume_from_state,
                     bytes: info.bytes,
                     tier: info.tier,
                 });
-                let tel = platform.telemetry_mut();
-                tel.observe(Phase::CheckpointRestore, duration);
-                tel.incr(Counter::CheckpointsRestored);
+                platform
+                    .telemetry_mut()
+                    .observe(Phase::CheckpointRestore, duration);
                 (info.resume_from_state, duration)
             }
             None => {
@@ -218,8 +217,7 @@ impl CanaryStrategy {
                     // Every retained checkpoint was corrupted or its row
                     // lost to a store outage: rerun from the start.
                     platform.emit(TraceKind::RestoreFallback { fn_id, state: 0 });
-                    platform.counters_mut().restore_fallbacks += 1;
-                    platform.telemetry_mut().incr(Counter::RestoreFallbacks);
+                    platform.count(Counter::RestoreFallbacks, 1);
                 }
                 (0, SimDuration::ZERO)
             }
@@ -266,7 +264,7 @@ impl CanaryStrategy {
         };
         for &ckpt_id in &lookup.corrupted {
             platform.emit(TraceKind::CheckpointCorrupted { fn_id, ckpt_id });
-            platform.telemetry_mut().incr(Counter::CheckpointsCorrupted);
+            platform.count(Counter::CheckpointsCorrupted, 1);
             self.land_chunk_corruption(platform, fn_id, ckpt_id);
         }
         match lookup.info {
@@ -289,7 +287,7 @@ impl CanaryStrategy {
                         info.duration
                     }
                 };
-                platform.note_restore();
+                platform.count(Counter::Restores, 1);
                 platform.emit(TraceKind::MigrationPlanned {
                     fn_id,
                     container,
@@ -297,14 +295,11 @@ impl CanaryStrategy {
                     chunks: info.chunks,
                     bytes: info.bytes,
                 });
-                let counters = platform.counters_mut();
-                counters.migrations += 1;
-                counters.chunks_migrated += info.chunks as u64;
-                let tel = platform.telemetry_mut();
-                tel.observe(Phase::CheckpointRestore, duration);
-                tel.incr(Counter::CheckpointsRestored);
-                tel.incr(Counter::Migrations);
-                tel.add(Counter::ChunksMigrated, info.chunks as u64);
+                platform.count(Counter::Migrations, 1);
+                platform.count(Counter::ChunksMigrated, info.chunks as u64);
+                platform
+                    .telemetry_mut()
+                    .observe(Phase::CheckpointRestore, duration);
                 RecoveryPlan {
                     resume_from_state: info.resume_from_state,
                     delay: detect + migrate + duration,
@@ -316,8 +311,7 @@ impl CanaryStrategy {
             None => {
                 if lookup.had_checkpoints {
                     platform.emit(TraceKind::MigrationFallback { fn_id });
-                    platform.counters_mut().restore_fallbacks += 1;
-                    platform.telemetry_mut().incr(Counter::RestoreFallbacks);
+                    platform.count(Counter::RestoreFallbacks, 1);
                 }
                 RecoveryPlan {
                     resume_from_state: 0,
@@ -347,10 +341,7 @@ impl CanaryStrategy {
             });
         }
         if spawned > 0 {
-            platform.counters_mut().replicas_refreshed += spawned as u64;
-            platform
-                .telemetry_mut()
-                .add(Counter::ReplicasRefreshed, spawned as u64);
+            platform.count(Counter::ReplicasRefreshed, spawned as u64);
         }
     }
 }
@@ -484,11 +475,11 @@ impl FtStrategy for CanaryStrategy {
                 fn_id,
                 state: state_idx,
             });
-            platform.counters_mut().checkpoints_skipped += 1;
-            platform.telemetry_mut().incr(Counter::CheckpointsSkipped);
+            platform.count(Counter::CheckpointsSkipped, 1);
             return;
         }
-        platform.note_checkpoint(effective);
+        platform.count(Counter::CheckpointsWritten, 1);
+        platform.count(Counter::CheckpointBytes, effective);
         let cost = self.checkpointing.write_cost(state.ckpt_bytes);
         // The write cost rides the trace only under causal observation,
         // keeping the pre-causal trace bytes untouched; blame extraction
@@ -505,9 +496,9 @@ impl FtStrategy for CanaryStrategy {
             tier,
             cost: traced_cost,
         });
-        let tel = platform.telemetry_mut();
-        tel.observe(Phase::CheckpointWrite, cost);
-        tel.incr(Counter::CheckpointsWritten);
+        platform
+            .telemetry_mut()
+            .observe(Phase::CheckpointWrite, cost);
     }
 
     fn on_failure(
@@ -634,12 +625,8 @@ impl FtStrategy for CanaryStrategy {
                             replayed: recovery.replayed_records,
                             torn: recovery.torn_tail,
                         });
-                        let counters = platform.counters_mut();
-                        counters.wal_records_replayed += recovery.replayed_records;
-                        counters.wal_torn_tails += recovery.torn_tail as u64;
-                        platform
-                            .telemetry_mut()
-                            .add(Counter::WalRecordsReplayed, recovery.replayed_records);
+                        platform.count(Counter::WalRecordsReplayed, recovery.replayed_records);
+                        platform.count(Counter::WalTornTails, recovery.torn_tail as u64);
                     }
                     Err(e) => {
                         // Corrupt WAL: recovery already fell back to an
@@ -709,17 +696,17 @@ impl FtStrategy for CanaryStrategy {
         }
         self.checkpointing.flush_barrier();
         // Export the metadata database's per-table traffic into the run's
-        // telemetry snapshot.
-        let stats = self.db.table_stats();
-        let (cache_hits, cache_misses) = self.db.cache_stats();
+        // telemetry snapshot, and the module-local cache and chunk tallies
+        // into the run counters.
         let tel = platform.telemetry_mut();
-        for (table, reads, writes) in stats {
+        for (table, reads, writes) in self.db.table_stats() {
             tel.set_table_stats(table, reads, writes);
         }
-        tel.add(Counter::DbCacheHits, cache_hits);
-        tel.add(Counter::DbCacheMisses, cache_misses);
+        let (cache_hits, cache_misses) = self.db.cache_stats();
+        platform.count(Counter::DbCacheHits, cache_hits);
+        platform.count(Counter::DbCacheMisses, cache_misses);
         let chunk = self.checkpointing.chunk_stats();
-        tel.add(Counter::ChunksWritten, chunk.written);
-        tel.add(Counter::ChunksDeduped, chunk.deduped);
+        platform.count(Counter::ChunksWritten, chunk.written);
+        platform.count(Counter::ChunksDeduped, chunk.deduped);
     }
 }

@@ -729,24 +729,27 @@ mod tests {
 
     #[test]
     fn telemetry_jsonl_has_meta_phase_counter_and_table_lines() {
-        use canary_platform::{Counter, Phase, Telemetry};
+        use canary_platform::{Phase, RunCounters, Telemetry};
         let mut tel = Telemetry::new(true);
         tel.observe(Phase::CheckpointWrite, SimDuration::from_micros(250));
-        tel.incr(Counter::CheckpointsWritten);
-        tel.add(Counter::DbCacheHits, 40);
-        tel.add(Counter::DbCacheMisses, 10);
         tel.set_table_stats("worker_info", 1, 16);
-        let jsonl = telemetry_to_jsonl(&tel.snapshot());
+        let counters = RunCounters {
+            checkpoints_written: 1,
+            db_cache_hits: 40,
+            db_cache_misses: 10,
+            ..RunCounters::default()
+        };
+        let jsonl = telemetry_to_jsonl(&tel.snapshot(&counters));
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 6);
         assert!(lines[0].contains("\"record\":\"meta\"") && lines[0].contains("true"));
         assert!(lines[1].contains("\"phase\":\"checkpoint_write\""));
         assert!(lines[1].contains("\"count\":1"));
         assert!(lines[2].contains("\"counter\":\"checkpoints_written\""));
-        // The db row-cache counters export under their stable labels, in
-        // Counter::ALL order after the pre-existing counters.
-        assert!(lines[3].contains("\"counter\":\"db_cache_hit\"") && lines[3].contains(":40"));
-        assert!(lines[4].contains("\"counter\":\"db_cache_miss\"") && lines[4].contains(":10"));
+        // Non-zero registry counters export under their field names, in
+        // Counter::ALL order.
+        assert!(lines[3].contains("\"counter\":\"db_cache_hits\"") && lines[3].contains(":40"));
+        assert!(lines[4].contains("\"counter\":\"db_cache_misses\"") && lines[4].contains(":10"));
         assert!(lines[5].contains("\"table\":\"worker_info\""));
         for line in lines {
             parse_flat_json(line).unwrap();

@@ -124,36 +124,12 @@ pub fn markdown_table(set: &SeriesSet) -> String {
     out
 }
 
-/// Render a run's engine-side counters as `name value` lines.
+/// Render a run's counters as `name value` lines, one per
+/// [`canary_platform::Counter::ALL`] entry.
 pub fn counters_summary(c: &RunCounters) -> String {
-    let rows: [(&str, u64); 23] = [
-        ("function_failures", c.function_failures),
-        ("node_failures", c.node_failures),
-        ("containers_created", c.containers_created),
-        ("warm_recoveries", c.warm_recoveries),
-        ("cold_recoveries", c.cold_recoveries),
-        ("placement_retries", c.placement_retries),
-        ("checkpoint_bytes", c.checkpoint_bytes),
-        ("checkpoints_written", c.checkpoints_written),
-        ("restores", c.restores),
-        ("jobs_queued", c.jobs_queued),
-        ("jobs_rejected", c.jobs_rejected),
-        ("replicas_consumed", c.replicas_consumed),
-        ("replicas_refreshed", c.replicas_refreshed),
-        ("chaos_events", c.chaos_events),
-        ("store_outages", c.store_outages),
-        ("stragglers_injected", c.stragglers_injected),
-        ("checkpoints_skipped", c.checkpoints_skipped),
-        ("restore_fallbacks", c.restore_fallbacks),
-        ("controller_crashes", c.controller_crashes),
-        ("wal_records_replayed", c.wal_records_replayed),
-        ("wal_torn_tails", c.wal_torn_tails),
-        ("migrations", c.migrations),
-        ("chunks_migrated", c.chunks_migrated),
-    ];
     let mut out = String::from("run counters\n");
-    for (name, v) in rows {
-        let _ = writeln!(out, "  {name:<22} {v}");
+    for (counter, v) in c.iter() {
+        let _ = writeln!(out, "  {:<22} {v}", counter.label());
     }
     out
 }
@@ -363,19 +339,38 @@ mod tests {
     }
 
     #[test]
+    fn counters_summary_lists_every_registry_counter() {
+        let mut c = RunCounters::default();
+        for (i, &counter) in Counter::ALL.iter().enumerate() {
+            c.add(counter, 100 + i as u64);
+        }
+        let text = counters_summary(&c);
+        let rows: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(rows.len(), Counter::ALL.len(), "{text}");
+        for ((i, &counter), row) in Counter::ALL.iter().enumerate().zip(&rows) {
+            let fields: Vec<&str> = row.split_whitespace().collect();
+            assert_eq!(fields, [counter.label(), &(100 + i).to_string()], "{text}");
+        }
+        assert!(text.contains("events_dispatched"), "{text}");
+    }
+
+    #[test]
     fn telemetry_summary_renders_phases_counters_and_tables() {
-        use canary_platform::{Counter, Phase, Telemetry};
+        use canary_platform::{Phase, Telemetry};
         use canary_sim::{SimDuration, SimTime};
         let mut tel = Telemetry::new(true);
         tel.span_start(Phase::RecoveryE2E, 1, SimTime::ZERO);
         tel.span_end(Phase::RecoveryE2E, 1, SimTime::from_micros(750_000));
         tel.observe(Phase::CheckpointWrite, SimDuration::from_millis(20));
-        tel.incr(Counter::CheckpointsWritten);
         tel.set_table_stats("job_info", 3, 5);
         tel.set_table_stats("function_info", 7, 2);
-        tel.add(Counter::DbCacheHits, 8);
-        tel.add(Counter::DbCacheMisses, 2);
-        let text = telemetry_summary(&tel.snapshot());
+        let counters = RunCounters {
+            checkpoints_written: 1,
+            db_cache_hits: 8,
+            db_cache_misses: 2,
+            ..RunCounters::default()
+        };
+        let text = telemetry_summary(&tel.snapshot(&counters));
         for needle in [
             "telemetry summary",
             "recovery_e2e",
@@ -383,7 +378,7 @@ mod tests {
             "p95",
             "checkpoints_written",
             "job_info",
-            "db_cache_hit",
+            "db_cache_hits",
             "metadata ops",
             "row cache",
             "80.0% hit rate",

@@ -1,7 +1,8 @@
 //! Run outcomes and cost-relevant accounting: per-function and per-job
-//! outcomes, container billing records, the [`RunCounters`] tally
-//! (failures, recoveries, checkpoint and replica-pool activity), and the
-//! complete [`RunResult`] including the optional trace and telemetry.
+//! outcomes, container billing records, the counter registry
+//! ([`RunCounters`] and [`Counter`], declared by one `run_counters!`
+//! table), and the complete [`RunResult`] including the optional trace
+//! and telemetry.
 
 use crate::ids::{FnId, JobId};
 use crate::profile::HotPathProfile;
@@ -99,63 +100,136 @@ impl JobOutcome {
     }
 }
 
-/// Miscellaneous run counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RunCounters {
+/// Declares the run's counter registry from one table (DESIGN.md §17).
+/// Each row is a [`RunCounters`] field with its docs and the [`Counter`]
+/// variant that names it; the field name is the counter's only label.
+/// From the table come the struct, the enum, `Counter::ALL`, `label()`,
+/// and `RunCounters::get` / `add`.
+macro_rules! run_counters {
+    ($($(#[doc = $doc:literal])* $field:ident: $variant:ident,)*) => {
+        /// The run's counters, one per [`Counter`], owned by the engine.
+        /// The engine counts its own events; a strategy counts through
+        /// `Platform::count`.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        #[serde(default)]
+        pub struct RunCounters {
+            $($(#[doc = $doc])* pub $field: u64,)*
+        }
+
+        /// Names one [`RunCounters`] field.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+        pub enum Counter {
+            $($(#[doc = $doc])* $variant,)*
+        }
+
+        impl Counter {
+            /// Every counter, in table order.
+            pub const ALL: &'static [Counter] = &[$(Counter::$variant),*];
+
+            /// Stable label used in reports and JSONL export: the field name.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => stringify!($field),)*
+                }
+            }
+        }
+
+        impl RunCounters {
+            /// Current value of `counter`.
+            pub fn get(&self, counter: Counter) -> u64 {
+                match counter {
+                    $(Counter::$variant => self.$field,)*
+                }
+            }
+
+            /// Add `n` to `counter`.
+            #[inline]
+            pub fn add(&mut self, counter: Counter, n: u64) {
+                match counter {
+                    $(Counter::$variant => self.$field += n,)*
+                }
+            }
+        }
+    };
+}
+
+run_counters! {
     /// Function-level failures injected.
-    pub function_failures: u64,
+    function_failures: FunctionFailures,
     /// Node crashes that occurred.
-    pub node_failures: u64,
+    node_failures: NodeFailures,
     /// Containers created over the run.
-    pub containers_created: u64,
+    containers_created: ContainersCreated,
     /// Recoveries that resumed on a warm container.
-    pub warm_recoveries: u64,
+    warm_recoveries: WarmRecoveries,
     /// Recoveries that had to cold-start.
-    pub cold_recoveries: u64,
+    cold_recoveries: ColdRecoveries,
     /// Placement retries due to a full cluster.
-    pub placement_retries: u64,
+    placement_retries: PlacementRetries,
     /// Checkpoint bytes written (strategy-reported).
-    pub checkpoint_bytes: u64,
+    checkpoint_bytes: CheckpointBytes,
     /// Checkpoints written (strategy-reported).
-    pub checkpoints_written: u64,
-    /// Restores performed (strategy-reported).
-    pub restores: u64,
+    checkpoints_written: CheckpointsWritten,
+    /// Restores performed, live migrations included (strategy-reported).
+    restores: Restores,
     /// Jobs the validator parked in its admission queue.
-    pub jobs_queued: u64,
+    jobs_queued: JobsQueued,
+    /// Jobs released from the admission queue.
+    jobs_dequeued: JobsDequeued,
     /// Jobs the validator rejected outright.
-    pub jobs_rejected: u64,
+    jobs_rejected: JobsRejected,
     /// Warm replicas consumed by recoveries.
-    pub replicas_consumed: u64,
+    replicas_consumed: ReplicasConsumed,
     /// Replicas re-spawned by pool reconciliation after a loss.
-    pub replicas_refreshed: u64,
+    replicas_refreshed: ReplicasRefreshed,
     /// Chaos fault events dispatched by the engine (all classes).
-    pub chaos_events: u64,
+    chaos_events: ChaosEvents,
     /// Replicated-store member outages injected by the chaos plan.
-    pub store_outages: u64,
+    store_outages: StoreOutages,
+    /// Replicated-store members rejoined after an outage.
+    store_rejoins: StoreRejoins,
     /// Attempts slowed down by an injected straggler fault.
-    pub stragglers_injected: u64,
+    stragglers_injected: StragglersInjected,
     /// Checkpoint writes dropped because the store was unavailable.
-    pub checkpoints_skipped: u64,
+    checkpoints_skipped: CheckpointsSkipped,
+    /// Retained checkpoints found corrupted during restore probing.
+    checkpoints_corrupted: CheckpointsCorrupted,
     /// Restores that fell back past the newest retained checkpoint.
-    pub restore_fallbacks: u64,
+    restore_fallbacks: RestoreFallbacks,
     /// Control-plane crash-restarts injected by the chaos plan.
-    pub controller_crashes: u64,
+    controller_crashes: ControllerCrashes,
     /// WAL records replayed across all controller recoveries.
-    pub wal_records_replayed: u64,
+    wal_records_replayed: WalRecordsReplayed,
     /// Torn trailing WAL records discarded during controller recoveries.
-    pub wal_torn_tails: u64,
+    wal_torn_tails: WalTornTails,
     /// Events dequeued and dispatched by the run loop. The honest
     /// denominator for events/s and allocs/event throughput claims —
     /// counted in the loop itself, with or without tracing.
-    #[serde(default)]
-    pub events_dispatched: u64,
+    events_dispatched: EventsDispatched,
     /// Node-crash recoveries resolved by live migration to a warm
     /// replica instead of rerun-from-checkpoint.
-    #[serde(default)]
-    pub migrations: u64,
+    migrations: Migrations,
     /// Chunks shipped to warm replicas by those migrations (the deltas).
-    #[serde(default)]
-    pub chunks_migrated: u64,
+    chunks_migrated: ChunksMigrated,
+    /// Metadata reads served from the db row cache (decode skipped),
+    /// reported at run end.
+    db_cache_hits: DbCacheHits,
+    /// Metadata reads that went through to the store and decoded a row,
+    /// reported at run end.
+    db_cache_misses: DbCacheMisses,
+    /// Chunk bodies physically stored by the content-addressed
+    /// checkpoint path (first reference), reported at run end.
+    chunks_written: ChunksWritten,
+    /// Chunk references satisfied by an already-stored body, reported at
+    /// run end.
+    chunks_deduped: ChunksDeduped,
+}
+
+impl RunCounters {
+    /// Every counter with its value, in [`Counter::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
+        Counter::ALL.iter().map(move |&c| (c, self.get(c)))
+    }
 }
 
 /// The complete result of one simulated run.

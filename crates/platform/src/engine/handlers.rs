@@ -11,7 +11,7 @@ use crate::job::{FnStatus, PlannedAttempt};
 use crate::strategy::{
     ArrivalVerdict, FailureInfo, FailureKind, FtStrategy, RecoveryPlan, RecoveryTarget,
 };
-use crate::telemetry::{Counter, Phase};
+use crate::telemetry::Phase;
 use crate::trace::TraceKind;
 use canary_cluster::{FaultEvent, NodeId};
 use canary_container::{ContainerId, ContainerState, PlacementError};
@@ -328,7 +328,6 @@ impl Platform {
             };
             if let Some(factor) = self.chaos.straggler(oracle_fn, attempt - 1) {
                 self.counters.stragglers_injected += 1;
-                self.telemetry.incr(Counter::StragglersInjected);
                 self.emit(TraceKind::StragglerInjected {
                     fn_id,
                     attempt,
@@ -359,7 +358,6 @@ impl Platform {
             detect: plan.detect,
             restore: plan.restore,
         });
-        self.telemetry.incr(Counter::RecoveriesPlanned);
         if let RecoveryTarget::WarmContainer(_) = plan.target {
             self.telemetry.span_start(Phase::WarmResume, fn_id.0, now);
         }
@@ -710,7 +708,6 @@ impl Platform {
             .expect("warm to executing");
         self.emit(TraceKind::ReplicaConsumed { container, fn_id });
         self.counters.replicas_consumed += 1;
-        self.telemetry.incr(Counter::ReplicasConsumed);
         let node = self.registry.get(container).expect("live container").node;
         self.begin_attempt(strategy, fn_id, &[(container, node, now)], from_state, true);
     }
@@ -761,7 +758,6 @@ impl Platform {
     pub(super) fn handle_chaos(&mut self, strategy: &mut dyn FtStrategy, idx: usize) {
         let fault = self.chaos.events()[idx].1;
         self.counters.chaos_events += 1;
-        self.telemetry.incr(Counter::ChaosFaults);
         match fault {
             FaultEvent::PartitionStart { a, b } => {
                 self.emit(TraceKind::PartitionStarted { a, b });
@@ -779,11 +775,10 @@ impl Platform {
             }
             FaultEvent::StoreDown { member } => {
                 self.counters.store_outages += 1;
-                self.telemetry.incr(Counter::StoreOutages);
                 self.emit(TraceKind::StoreOutage { member });
             }
             FaultEvent::StoreRejoin { member } => {
-                self.telemetry.incr(Counter::StoreRejoins);
+                self.counters.store_rejoins += 1;
                 self.emit(TraceKind::StoreRejoined { member });
             }
             FaultEvent::NodeBurst { node } => {
@@ -798,7 +793,6 @@ impl Platform {
                 // state — the event queue and the admission FIFO — is
                 // *not* part of the crashing process and survives.
                 self.counters.controller_crashes += 1;
-                self.telemetry.incr(Counter::ControllerCrashes);
                 self.emit(TraceKind::ControllerCrashed);
             }
         }
@@ -864,7 +858,7 @@ impl Platform {
             }
             self.admission_queue.pop_front();
             self.emit(TraceKind::JobDequeued { job });
-            self.telemetry.incr(Counter::JobsDequeued);
+            self.counters.jobs_dequeued += 1;
             self.admit_job(job);
         }
     }
@@ -888,7 +882,6 @@ impl Platform {
         if verdict == ArrivalVerdict::Reject || impossible {
             self.jobs[job.0 as usize].rejected = true;
             self.counters.jobs_rejected += 1;
-            self.telemetry.incr(Counter::JobsRejected);
             self.emit(TraceKind::JobRejected { job });
             return;
         }
@@ -900,7 +893,6 @@ impl Platform {
         } else {
             self.admission_queue.push_back(job);
             self.counters.jobs_queued += 1;
-            self.telemetry.incr(Counter::JobsQueued);
             self.emit(TraceKind::JobQueued { job });
         }
     }

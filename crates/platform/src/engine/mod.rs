@@ -42,7 +42,7 @@ pub use setup::{validate_batch, RunConfigError};
 #[doc(hidden)]
 pub use setup::bench_platform;
 
-use crate::accounting::{ContainerUsage, FnOutcome, JobOutcome, RunCounters, RunResult};
+use crate::accounting::{ContainerUsage, Counter, FnOutcome, JobOutcome, RunCounters, RunResult};
 use crate::config::RunConfig;
 use crate::ids::{FnId, JobId};
 use crate::job::{FnRecord, FnStatus, JobRecord, JobSpec};
@@ -338,26 +338,17 @@ impl Platform {
         &mut self.shard_rngs[shard]
     }
 
-    /// Record a checkpoint write (counters only; the strategy owns the
-    /// actual store).
-    pub fn note_checkpoint(&mut self, bytes: u64) {
-        self.counters.checkpoints_written += 1;
-        self.counters.checkpoint_bytes += bytes;
-    }
-
-    /// Record a restore.
-    pub fn note_restore(&mut self) {
-        self.counters.restores += 1;
-    }
-
-    /// Mutable run counters, for strategy-side accounting (validator
-    /// queueing, replica pool refreshes).
-    pub fn counters_mut(&mut self) -> &mut RunCounters {
-        &mut self.counters
+    /// Add `n` to a run counter. Strategies count the events only they
+    /// see (checkpoints, restores, migrations, WAL replay) through this;
+    /// the engine counts its own events directly.
+    #[inline]
+    pub fn count(&mut self, counter: Counter, n: u64) {
+        self.counters.add(counter, n);
     }
 
     /// The run's telemetry recorder; strategies observe their phase
-    /// latencies and counters through this. Every call is a no-op when
+    /// latencies and report db table traffic through this (counters go
+    /// through [`Platform::count`]). Every call is a no-op when
     /// `RunConfig::telemetry` is off.
     pub fn telemetry_mut(&mut self) -> &mut Telemetry {
         &mut self.telemetry
@@ -653,7 +644,7 @@ pub fn try_run(
         counters: p.counters,
         finished_at,
         trace: p.trace,
-        telemetry: p.telemetry.snapshot(),
+        telemetry: p.telemetry.snapshot(&p.counters),
         profile,
     })
 }

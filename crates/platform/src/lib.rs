@@ -30,7 +30,7 @@ pub mod strategy;
 pub mod telemetry;
 pub mod trace;
 
-pub use accounting::{ContainerUsage, FnOutcome, JobOutcome, RunCounters, RunResult};
+pub use accounting::{ContainerUsage, Counter, FnOutcome, JobOutcome, RunCounters, RunResult};
 pub use config::RunConfig;
 pub use engine::{run, try_run, validate_batch, Event, Platform, RunConfigError, StateTiming};
 pub use ids::{FnId, JobId};
@@ -40,7 +40,5 @@ pub use profile::{install_alloc_counter, HotPathProfile, HotPathRow, HotPathShar
 pub use strategy::{
     ArrivalVerdict, FailureInfo, FailureKind, FtStrategy, RecoveryPlan, RecoveryTarget,
 };
-pub use telemetry::{
-    Counter, Histogram, Phase, PhaseSummary, TableStats, Telemetry, TelemetrySnapshot,
-};
+pub use telemetry::{Histogram, Phase, PhaseSummary, TableStats, Telemetry, TelemetrySnapshot};
 pub use trace::{SpanId, Trace, TraceEvent, TraceKind};

@@ -1,11 +1,12 @@
-//! Run telemetry: phase latency histograms and typed counters.
+//! Run telemetry: phase latency histograms and per-table db traffic.
 //!
 //! An opt-in observability layer alongside [`crate::trace`]. Where a
 //! trace records *what happened* as an ordered event log, telemetry
 //! aggregates *how long things took*: fixed-bucket latency histograms
-//! per instrumented [`Phase`] plus typed counters, all keyed on
-//! simulation time — no wall clocks, so enabling telemetry never
-//! perturbs the simulated timeline.
+//! per instrumented [`Phase`], all keyed on simulation time — no wall
+//! clocks, so enabling telemetry never perturbs the simulated timeline.
+//! Telemetry keeps no counters of its own: a snapshot copies the run's
+//! counter registry ([`crate::RunCounters`], DESIGN.md §17).
 //!
 //! Zero-cost when disabled: every recording method first checks the
 //! `enabled` flag set from [`crate::RunConfig::telemetry`] and returns
@@ -18,6 +19,7 @@
 //! directly through [`Telemetry::observe`] (for phases whose duration is
 //! known analytically, e.g. a checkpoint write cost).
 
+use crate::accounting::{Counter, RunCounters};
 use canary_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -67,124 +69,6 @@ impl Phase {
 }
 
 impl fmt::Display for Phase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Typed telemetry counters (strategy- and engine-side occurrence
-/// counts that complement the latency histograms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Counter {
-    /// Checkpoints written by the strategy.
-    CheckpointsWritten,
-    /// Checkpoints restored on the recovery path.
-    CheckpointsRestored,
-    /// Jobs the validator parked in its admission queue.
-    JobsQueued,
-    /// Jobs the validator released from the queue.
-    JobsDequeued,
-    /// Jobs the validator rejected outright.
-    JobsRejected,
-    /// Warm replicas consumed by recoveries.
-    ReplicasConsumed,
-    /// Replicas re-spawned by pool reconciliation after a loss.
-    ReplicasRefreshed,
-    /// Recovery plans issued by the strategy.
-    RecoveriesPlanned,
-    /// Chaos fault events dispatched by the engine (all classes).
-    ChaosFaults,
-    /// Replicated-store member outages injected.
-    StoreOutages,
-    /// Replicated-store members rejoined after an outage.
-    StoreRejoins,
-    /// Attempts slowed down by an injected straggler fault.
-    StragglersInjected,
-    /// Retained checkpoints found corrupted during restore probing.
-    CheckpointsCorrupted,
-    /// Checkpoint writes dropped because the store was unavailable.
-    CheckpointsSkipped,
-    /// Restores that fell back past the newest checkpoint.
-    RestoreFallbacks,
-    /// Metadata reads served from the db row cache (decode skipped).
-    DbCacheHits,
-    /// Metadata reads that went through to the store and decoded a row.
-    DbCacheMisses,
-    /// Control-plane crash-restarts injected by chaos.
-    ControllerCrashes,
-    /// WAL records replayed across all controller recoveries.
-    WalRecordsReplayed,
-    /// Chunk bodies physically stored by the content-addressed
-    /// checkpoint path (first reference).
-    ChunksWritten,
-    /// Chunk references satisfied by an already-stored body.
-    ChunksDeduped,
-    /// Chunks shipped to warm replicas by live migrations (the deltas).
-    ChunksMigrated,
-    /// Node-crash recoveries resolved by live migration to a warm
-    /// replica instead of rerun-from-checkpoint.
-    Migrations,
-}
-
-impl Counter {
-    /// All counters in display order.
-    pub const ALL: [Counter; 23] = [
-        Counter::CheckpointsWritten,
-        Counter::CheckpointsRestored,
-        Counter::JobsQueued,
-        Counter::JobsDequeued,
-        Counter::JobsRejected,
-        Counter::ReplicasConsumed,
-        Counter::ReplicasRefreshed,
-        Counter::RecoveriesPlanned,
-        Counter::ChaosFaults,
-        Counter::StoreOutages,
-        Counter::StoreRejoins,
-        Counter::StragglersInjected,
-        Counter::CheckpointsCorrupted,
-        Counter::CheckpointsSkipped,
-        Counter::RestoreFallbacks,
-        Counter::DbCacheHits,
-        Counter::DbCacheMisses,
-        Counter::ControllerCrashes,
-        Counter::WalRecordsReplayed,
-        Counter::ChunksWritten,
-        Counter::ChunksDeduped,
-        Counter::ChunksMigrated,
-        Counter::Migrations,
-    ];
-
-    /// Stable label used in reports and JSONL export.
-    pub fn label(self) -> &'static str {
-        match self {
-            Counter::CheckpointsWritten => "checkpoints_written",
-            Counter::CheckpointsRestored => "checkpoints_restored",
-            Counter::JobsQueued => "jobs_queued",
-            Counter::JobsDequeued => "jobs_dequeued",
-            Counter::JobsRejected => "jobs_rejected",
-            Counter::ReplicasConsumed => "replicas_consumed",
-            Counter::ReplicasRefreshed => "replicas_refreshed",
-            Counter::RecoveriesPlanned => "recoveries_planned",
-            Counter::ChaosFaults => "chaos_faults",
-            Counter::StoreOutages => "store_outages",
-            Counter::StoreRejoins => "store_rejoins",
-            Counter::StragglersInjected => "stragglers_injected",
-            Counter::CheckpointsCorrupted => "checkpoints_corrupted",
-            Counter::CheckpointsSkipped => "checkpoints_skipped",
-            Counter::RestoreFallbacks => "restore_fallbacks",
-            Counter::DbCacheHits => "db_cache_hit",
-            Counter::DbCacheMisses => "db_cache_miss",
-            Counter::ControllerCrashes => "controller_crashes",
-            Counter::WalRecordsReplayed => "wal_records_replayed",
-            Counter::ChunksWritten => "chunks_written",
-            Counter::ChunksDeduped => "chunks_deduped",
-            Counter::ChunksMigrated => "chunks_migrated",
-            Counter::Migrations => "migrations",
-        }
-    }
-}
-
-impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
     }
@@ -372,7 +256,6 @@ impl TelemetrySnapshot {
 pub struct Telemetry {
     enabled: bool,
     histograms: BTreeMap<Phase, Histogram>,
-    counters: BTreeMap<Counter, u64>,
     /// Table traffic keyed by interned name — the recording path never
     /// allocates a `String` after a table's first report; the text is
     /// resolved from `names` only when a snapshot is exported.
@@ -396,19 +279,6 @@ impl Telemetry {
     /// Is recording active?
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Increment a counter by one.
-    pub fn incr(&mut self, counter: Counter) {
-        self.add(counter, 1);
-    }
-
-    /// Increment a counter by `n`.
-    pub fn add(&mut self, counter: Counter, n: u64) {
-        if !self.enabled || n == 0 {
-            return;
-        }
-        *self.counters.entry(counter).or_insert(0) += n;
     }
 
     /// Record a latency sample whose duration is known directly.
@@ -471,13 +341,10 @@ impl Telemetry {
         self.histograms.get(&phase)
     }
 
-    /// Live counter value.
-    pub fn counter(&self, counter: Counter) -> u64 {
-        self.counters.get(&counter).copied().unwrap_or(0)
-    }
-
-    /// Export an immutable snapshot (deterministic ordering).
-    pub fn snapshot(&self) -> TelemetrySnapshot {
+    /// Export an immutable snapshot (deterministic ordering). Its
+    /// counters are the non-zero entries of `counters`, the run's
+    /// registry, and stay empty when telemetry is off.
+    pub fn snapshot(&self, counters: &RunCounters) -> TelemetrySnapshot {
         let phases = Phase::ALL
             .iter()
             .filter_map(|&phase| {
@@ -497,13 +364,11 @@ impl Telemetry {
                 })
             })
             .collect();
-        let counters = Counter::ALL
-            .iter()
-            .filter_map(|&c| {
-                let v = self.counter(c);
-                (v > 0).then_some((c, v))
-            })
-            .collect();
+        let counters = if self.enabled {
+            counters.iter().filter(|&(_, v)| v > 0).collect()
+        } else {
+            Vec::new()
+        };
         // Resolve interned names back to text, sorted by name so the
         // export order is independent of interning order.
         let mut tables: Vec<TableStats> = self
@@ -541,12 +406,15 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let mut tel = Telemetry::new(false);
-        tel.incr(Counter::JobsQueued);
         tel.observe(Phase::Admission, d(5));
         tel.span_start(Phase::RecoveryE2E, 1, t(0));
         tel.span_end(Phase::RecoveryE2E, 1, t(100));
         tel.set_table_stats("jobs", 1, 2);
-        let snap = tel.snapshot();
+        let counters = RunCounters {
+            jobs_queued: 1,
+            ..RunCounters::default()
+        };
+        let snap = tel.snapshot(&counters);
         assert!(!snap.enabled);
         assert!(snap.phases.is_empty());
         assert!(snap.counters.is_empty());
@@ -607,17 +475,21 @@ mod tests {
         let mut tel = Telemetry::new(true);
         tel.observe(Phase::RecoveryE2E, d(10));
         tel.observe(Phase::Admission, d(5));
-        tel.incr(Counter::ReplicasConsumed);
-        tel.add(Counter::JobsQueued, 3);
-        tel.add(Counter::JobsRejected, 0); // no-op
         tel.set_table_stats("functions", 4, 9);
-        let snap = tel.snapshot();
+        let mut counters = RunCounters::default();
+        counters.add(Counter::ReplicasConsumed, 1);
+        counters.add(Counter::JobsQueued, 3);
+        counters.add(Counter::JobsRejected, 0);
+        let snap = tel.snapshot(&counters);
         // Phase::ALL order: Admission before RecoveryE2E.
         assert_eq!(snap.phases.len(), 2);
         assert_eq!(snap.phases[0].phase, Phase::Admission);
         assert_eq!(snap.phases[1].phase, Phase::RecoveryE2E);
-        assert_eq!(snap.counter(Counter::JobsQueued), 3);
-        assert_eq!(snap.counter(Counter::ReplicasConsumed), 1);
+        // Non-zero registry entries only, in Counter::ALL order.
+        assert_eq!(
+            snap.counters,
+            vec![(Counter::JobsQueued, 3), (Counter::ReplicasConsumed, 1)]
+        );
         assert_eq!(snap.counter(Counter::JobsRejected), 0);
         assert_eq!(snap.tables.len(), 1);
         assert_eq!(snap.tables[0].table, "functions");

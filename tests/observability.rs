@@ -2,7 +2,8 @@
 //! summaries, and the guarantee that observation never changes a run.
 
 use canary_core::ReplicationStrategyKind;
-use canary_experiments::{trace_from_jsonl, trace_to_jsonl, Scenario, StrategyKind};
+use canary_experiments::load::open_loop_jobs;
+use canary_experiments::{chaos, trace_from_jsonl, trace_to_jsonl, Scenario, StrategyKind};
 use canary_platform::{JobSpec, Phase, TraceKind};
 use canary_workloads::{WorkloadKind, WorkloadSpec};
 use std::path::PathBuf;
@@ -119,6 +120,183 @@ fn observed_run_matches_unobserved_run() {
         format!("{:?}", plain.finished_at),
         format!("{:?}", observed.finished_at)
     );
+    // Telemetry reads the registry: its counters are exactly the
+    // non-zero registry entries, in Counter::ALL order.
+    let registry: Vec<_> = observed.counters.iter().filter(|&(_, v)| v > 0).collect();
+    assert!(!registry.is_empty());
+    assert_eq!(observed.telemetry.counters, registry);
+}
+
+/// Every counter with a trace witness equals that witness on the
+/// committed mixed-42, controller-crash-42 and migration-42 runs, plus
+/// an open-loop overload run for the admission rows. The trace is
+/// recorded independently of the counters, so a counter bumped twice,
+/// or at a site that emits nothing, fails here.
+#[test]
+fn counters_tie_out_with_their_trace_witnesses() {
+    let chaos_run = |name: &str, strategy: StrategyKind| {
+        chaos::demo_scenario(chaos::named(name).expect("scenario")).run_observed(strategy, 42)
+    };
+    // Sustained overload queues and dequeues jobs; one job larger than
+    // the whole gate is rejected on arrival.
+    let mut overload = Scenario::chameleon(0.15, open_loop_jobs(4.0, 40, 0xA11));
+    overload.max_inflight = Some(8);
+    overload
+        .jobs
+        .push(JobSpec::new(WorkloadSpec::web_service(10), 9));
+    let runs = [
+        ("mixed-42", chaos_run("mixed", CANARY)),
+        ("controller-crash-42", chaos_run("controller-crash", CANARY)),
+        (
+            "migration-42",
+            chaos_run("migration", StrategyKind::CanaryMigrate),
+        ),
+        ("open-loop-overload", overload.run_observed(CANARY, 42)),
+    ];
+    let mut exercised = std::collections::BTreeSet::new();
+    let mut row_count = 0;
+    for (name, r) in &runs {
+        let c = &r.counters;
+        let n = |pred: fn(&TraceKind) -> bool| r.trace.count(pred) as u64;
+        let sum = |field: fn(&TraceKind) -> u64| -> u64 {
+            r.trace.events.iter().map(|e| field(&e.kind)).sum()
+        };
+        let rows = [
+            (
+                "checkpoints_written",
+                c.checkpoints_written,
+                n(|k| matches!(k, TraceKind::CheckpointWritten { .. })),
+            ),
+            (
+                "checkpoints_skipped",
+                c.checkpoints_skipped,
+                n(|k| matches!(k, TraceKind::CheckpointSkipped { .. })),
+            ),
+            (
+                "checkpoints_corrupted",
+                c.checkpoints_corrupted,
+                n(|k| matches!(k, TraceKind::CheckpointCorrupted { .. })),
+            ),
+            (
+                "restores",
+                c.restores,
+                n(|k| {
+                    matches!(
+                        k,
+                        TraceKind::CheckpointRestored { .. } | TraceKind::MigrationPlanned { .. }
+                    )
+                }),
+            ),
+            (
+                "restore_fallbacks",
+                c.restore_fallbacks,
+                n(|k| {
+                    matches!(
+                        k,
+                        TraceKind::RestoreFallback { .. } | TraceKind::MigrationFallback { .. }
+                    )
+                }),
+            ),
+            (
+                "migrations",
+                c.migrations,
+                n(|k| matches!(k, TraceKind::MigrationPlanned { .. })),
+            ),
+            (
+                "chunks_migrated",
+                c.chunks_migrated,
+                sum(|k| match *k {
+                    TraceKind::MigrationPlanned { chunks, .. } => chunks.into(),
+                    _ => 0,
+                }),
+            ),
+            (
+                "jobs_queued",
+                c.jobs_queued,
+                n(|k| matches!(k, TraceKind::JobQueued { .. })),
+            ),
+            (
+                "jobs_dequeued",
+                c.jobs_dequeued,
+                n(|k| matches!(k, TraceKind::JobDequeued { .. })),
+            ),
+            (
+                "jobs_rejected",
+                c.jobs_rejected,
+                n(|k| matches!(k, TraceKind::JobRejected { .. })),
+            ),
+            (
+                "replicas_consumed",
+                c.replicas_consumed,
+                n(|k| matches!(k, TraceKind::ReplicaConsumed { .. })),
+            ),
+            (
+                "replicas_refreshed",
+                c.replicas_refreshed,
+                sum(|k| match *k {
+                    TraceKind::ReplicaRefreshed { spawned, .. } => spawned.into(),
+                    _ => 0,
+                }),
+            ),
+            (
+                "warm_recoveries + cold_recoveries",
+                c.warm_recoveries + c.cold_recoveries,
+                n(|k| matches!(k, TraceKind::RecoveryPlanned { .. })),
+            ),
+            (
+                "node_failures",
+                c.node_failures,
+                n(|k| matches!(k, TraceKind::NodeFailed { .. })),
+            ),
+            (
+                "function_failures",
+                c.function_failures,
+                n(|k| matches!(k, TraceKind::AttemptFailed { .. })),
+            ),
+            (
+                "store_outages",
+                c.store_outages,
+                n(|k| matches!(k, TraceKind::StoreOutage { .. })),
+            ),
+            (
+                "store_rejoins",
+                c.store_rejoins,
+                n(|k| matches!(k, TraceKind::StoreRejoined { .. })),
+            ),
+            (
+                "stragglers_injected",
+                c.stragglers_injected,
+                n(|k| matches!(k, TraceKind::StragglerInjected { .. })),
+            ),
+            (
+                "controller_crashes",
+                c.controller_crashes,
+                n(|k| matches!(k, TraceKind::ControllerCrashed)),
+            ),
+            (
+                "wal_records_replayed",
+                c.wal_records_replayed,
+                sum(|k| match *k {
+                    TraceKind::ControllerRecovered { replayed, .. } => replayed,
+                    _ => 0,
+                }),
+            ),
+            (
+                "wal_torn_tails",
+                c.wal_torn_tails,
+                n(|k| matches!(k, TraceKind::ControllerRecovered { torn: true, .. })),
+            ),
+        ];
+        row_count = rows.len();
+        for (counter, value, witness) in rows {
+            assert_eq!(value, witness, "{name}: {counter} does not tie out");
+            if value > 0 {
+                exercised.insert(counter);
+            }
+        }
+    }
+    // No row ties out only because it is zero everywhere.
+    assert_eq!(exercised.len(), row_count, "exercised only {exercised:?}");
 }
 
 /// The observed run's telemetry must cover the recovery-relevant phases
