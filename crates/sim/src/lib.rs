@@ -2,13 +2,12 @@
 //!
 //! Discrete-event simulation (DES) infrastructure for the Canary
 //! reproduction: a virtual clock ([`SimTime`]/[`SimDuration`]), a
-//! deterministic future-event list ([`EventQueue`], and its sharded
-//! sibling [`ShardedEventQueue`] whose `(time, global seq)` merge pops
-//! identically at any shard count), a splittable
-//! deterministic PRNG ([`SimRng`]), open-loop arrival processes for
-//! sustained-load traffic ([`ArrivalProcess`]), and the statistics types
-//! used to aggregate experiment results ([`Welford`], [`Percentiles`],
-//! [`Histogram`], [`Series`], [`SeriesSet`]).
+//! deterministic future-event list ([`EventQueue`], popped in
+//! `(time, seq)` order), a splittable deterministic PRNG ([`SimRng`]),
+//! open-loop arrival processes for sustained-load traffic
+//! ([`ArrivalProcess`]), and the statistics types used to aggregate
+//! experiment results ([`Welford`], [`Percentiles`], [`Series`],
+//! [`SeriesSet`]).
 //!
 //! The paper evaluates Canary on a 16-node OpenWhisk cluster with failures
 //! injected by randomly killing containers; this crate provides the
@@ -40,8 +39,8 @@ pub mod stats;
 pub mod time;
 
 pub use arrival::ArrivalProcess;
-pub use queue::{EventQueue, ShardedEventQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use series::{Point, Series, SeriesSet};
-pub use stats::{Histogram, Percentiles, Welford};
+pub use stats::{Percentiles, Welford};
 pub use time::{SimDuration, SimTime};

@@ -171,59 +171,6 @@ impl Percentiles {
     }
 }
 
-/// Fixed-width histogram for recovery-time distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Histogram over `[lo, hi)` with `bins` equal-width buckets.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo && bins > 0, "invalid histogram bounds");
-        Histogram {
-            lo,
-            width: (hi - lo) / bins as f64,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x - self.lo) / self.width) as usize;
-        if idx >= self.bins.len() {
-            self.overflow += 1;
-        } else {
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Bucket counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below range / at-or-above range.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
-    }
-
-    /// Total recorded observations including out-of-range.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,20 +238,5 @@ mod tests {
     fn percentiles_empty() {
         let mut p = Percentiles::new();
         assert_eq!(p.percentile(50.0), None);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(-1.0);
-        h.record(0.0);
-        h.record(9.99);
-        h.record(10.0);
-        h.record(5.5);
-        assert_eq!(h.out_of_range(), (1, 1));
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.bins()[9], 1);
-        assert_eq!(h.bins()[5], 1);
-        assert_eq!(h.total(), 5);
     }
 }

@@ -134,6 +134,12 @@ proptest! {
             format!("{:?}", plain.counters),
             format!("{:?}", instrumented.counters)
         );
+        // The hot-path profiler sees every dispatch the run loop counts.
+        prop_assert!(instrumented.profile.enabled);
+        prop_assert_eq!(
+            instrumented.profile.total_dispatches(),
+            instrumented.counters.events_dispatched
+        );
     }
 }
 
