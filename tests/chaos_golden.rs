@@ -79,6 +79,20 @@ fn mixed_chaos_recovery_breakdown_matches_golden() {
     );
 }
 
+/// The run-level critical-path blame of the causal seed-42 mixed run.
+/// CI's obs-smoke job diffs `canaryctl trace --blame` over the exported
+/// JSONL against this same golden, so blame from a parsed trace must
+/// equal blame computed live, byte for byte.
+#[test]
+fn mixed_chaos_blame_matches_golden() {
+    let result = chaos::demo_scenario(chaos::named("mixed").expect("mixed scenario"))
+        .run_instrumented(CANARY, 42);
+    check_golden(
+        "chaos_mixed_seed42_blame.txt",
+        &canary_metrics::blame_report(&result.trace),
+    );
+}
+
 #[test]
 fn mixed_chaos_trace_tells_the_whole_fault_story() {
     // The acceptance scenario: with the checkpoint store partitioned and
