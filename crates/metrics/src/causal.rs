@@ -9,8 +9,9 @@
 //! - [`span_forest`] validates the link structure (every link resolves
 //!   to an *earlier* event; every span belongs to exactly one tree) and
 //!   indexes it.
-//! - [`critical_path`] walks one job's timeline from arrival to its
-//!   last-completing function and splits the end-to-end latency into
+//! - [`critical_paths`] (and [`critical_path`] for one job) indexes the
+//!   trace in one pass, then walks each job's timeline from arrival to
+//!   its last-completing function and splits the end-to-end latency into
 //!   blame components — queue, admission, exec, checkpoint, restore,
 //!   fault-wait — that **sum exactly to the job's makespan** by
 //!   construction (each component is a disjoint segment of the
@@ -18,7 +19,7 @@
 //! - [`aggregate_blame`] and [`blame_report`] roll per-job blame up to
 //!   the run: "where did this run's latency actually go?"
 
-use canary_platform::{FnId, JobId, SpanId, Trace, TraceKind};
+use canary_platform::{FnId, JobId, SpanId, Trace, TraceEvent, TraceKind};
 use canary_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -66,7 +67,7 @@ impl Blame {
 }
 
 /// One contiguous segment of a job's critical path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CpStep {
     /// Segment start.
     pub from: SimTime,
@@ -78,7 +79,7 @@ pub struct CpStep {
 
 /// A job's critical path: the contiguous chain of segments from arrival
 /// to the completion of its last-finishing function.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CriticalPath {
     /// The job.
     pub job: JobId,
@@ -203,160 +204,225 @@ pub fn span_forest(trace: &Trace) -> Result<SpanForest, CausalError> {
     Ok(forest)
 }
 
+/// Everything critical-path attribution reads, gathered in one forward
+/// pass over the trace and sorted once.
+///
+/// Each vector holds at most one row per event and is keyed by ids read
+/// from the trace only through sorting and binary search, so the index
+/// costs O(E log E) time and O(E) memory whatever ids an (untrusted)
+/// trace carries.
+struct BlameIndex<'t> {
+    events: &'t [TraceEvent],
+    /// `(job, event index)` of each job's first `JobArrived`, whose span
+    /// is the job's root.
+    arrivals: Vec<(JobId, usize)>,
+    /// `(job, event index)` of each job's first `JobSubmitted`.
+    submissions: Vec<(JobId, usize)>,
+    /// `(parent span, fn, event index)` of each function's first
+    /// `AttemptStarted` under each parent. A job's functions are the rows
+    /// under its root span (fn → job is not derivable from the flat kinds
+    /// alone; the causal parent link carries it). Keyed by span, not job,
+    /// so jobs that share a root share rows instead of multiplying them.
+    starts: Vec<(SpanId, FnId, usize)>,
+    /// `(fn, time)` of every `FunctionCompleted`; a function's last row
+    /// is its final completion.
+    completions: Vec<(FnId, SimTime)>,
+    /// `(fn, event index)` of every event the timeline walk reads, so a
+    /// function's rows are its own timeline in emit order.
+    fn_events: Vec<(FnId, usize)>,
+}
+
+/// The rows of `sorted` whose key is `k`.
+fn rows<R, K: Ord>(sorted: &[R], key: impl Fn(&R) -> K, k: K) -> &[R] {
+    let lo = sorted.partition_point(|r| key(r) < k);
+    let len = sorted[lo..].partition_point(|r| key(r) == k);
+    &sorted[lo..lo + len]
+}
+
+impl<'t> BlameIndex<'t> {
+    fn build(events: &'t [TraceEvent]) -> Self {
+        let mut ix = BlameIndex {
+            events,
+            arrivals: Vec::new(),
+            submissions: Vec::new(),
+            starts: Vec::new(),
+            completions: Vec::new(),
+            fn_events: Vec::new(),
+        };
+        for (i, e) in events.iter().enumerate() {
+            match e.kind {
+                TraceKind::JobArrived { job } => ix.arrivals.push((job, i)),
+                TraceKind::JobSubmitted { job } => ix.submissions.push((job, i)),
+                TraceKind::AttemptStarted { fn_id, .. } => {
+                    if e.parent.is_some() {
+                        ix.starts.push((e.parent, fn_id, i));
+                    }
+                    ix.fn_events.push((fn_id, i));
+                }
+                TraceKind::FunctionCompleted { fn_id } => {
+                    ix.completions.push((fn_id, e.at));
+                    ix.fn_events.push((fn_id, i));
+                }
+                TraceKind::CheckpointWritten { fn_id, .. }
+                | TraceKind::RecoveryPlanned { fn_id, .. }
+                | TraceKind::AttemptFailed { fn_id, .. } => ix.fn_events.push((fn_id, i)),
+                _ => {}
+            }
+        }
+        // Rows were pushed in emit order; sorting on the whole tuple keeps
+        // that order within a key, so each dedup keeps the first event.
+        ix.arrivals.sort_unstable();
+        ix.arrivals.dedup_by_key(|&mut (job, _)| job);
+        ix.submissions.sort_unstable();
+        ix.submissions.dedup_by_key(|&mut (job, _)| job);
+        ix.starts.sort_unstable();
+        ix.starts.dedup_by_key(|&mut (parent, f, _)| (parent, f));
+        ix.completions.sort_unstable();
+        ix.fn_events.sort_unstable();
+        ix
+    }
+
+    /// The critical path of `job`, whose first arrival is event `arrival`.
+    fn path(&self, job: JobId, arrival: usize) -> Option<CriticalPath> {
+        // Arrival defines the job's root span; submission ends the queue.
+        let arrived_at = self.events[arrival].at;
+        let root = self.events[arrival].span;
+        if root.is_none() {
+            return None;
+        }
+        let &(_, submitted) = rows(&self.submissions, |r| r.0, job).first()?;
+        let submitted_at = self.events[submitted].at;
+        // Critical function: the job's last-completing one.
+        let (completed_at, critical_fn, first) = rows(&self.starts, |r| r.0, root)
+            .iter()
+            .filter_map(|&(_, f, first)| {
+                let &(_, done) = rows(&self.completions, |r| r.0, f).last()?;
+                Some((done, f, first))
+            })
+            .max_by_key(|&(t, f, _)| (t, f))?;
+
+        let mut blame = Blame {
+            queue: submitted_at.saturating_since(arrived_at),
+            ..Blame::default()
+        };
+        let mut steps = Vec::new();
+        if blame.queue > SimDuration::ZERO {
+            steps.push(CpStep {
+                from: arrived_at,
+                to: submitted_at,
+                label: "queue".into(),
+            });
+        }
+        let first_start = self.events[first].at;
+        blame.admission = first_start.saturating_since(submitted_at);
+        steps.push(CpStep {
+            from: submitted_at,
+            to: first_start,
+            label: "admission + start".into(),
+        });
+
+        // Walk the critical function's own timeline. Attempt windows split
+        // into exec + checkpoint; inter-attempt gaps into restore +
+        // fault-wait. Segments are contiguous from `first_start` to
+        // `completed_at`, so the components sum to the makespan exactly.
+        let mut attempt_start: Option<(SimTime, u32)> = None;
+        let mut ckpt_us = 0u64;
+        let mut gap_start: Option<SimTime> = None;
+        let mut pending_restore_us = 0u64;
+        for &(_, i) in rows(&self.fn_events, |r| r.0, critical_fn) {
+            let e = &self.events[i];
+            match e.kind {
+                TraceKind::AttemptStarted { attempt, .. } => {
+                    if let Some(gs) = gap_start.take() {
+                        let gap_us = e.at.saturating_since(gs).as_micros();
+                        let restore_us = pending_restore_us.min(gap_us);
+                        blame.restore += SimDuration::from_micros(restore_us);
+                        blame.fault_wait += SimDuration::from_micros(gap_us - restore_us);
+                        steps.push(CpStep {
+                            from: gs,
+                            to: e.at,
+                            label: format!(
+                                "recovery gap (restore {}, wait {})",
+                                SimDuration::from_micros(restore_us),
+                                SimDuration::from_micros(gap_us - restore_us)
+                            ),
+                        });
+                    }
+                    attempt_start = Some((e.at, attempt));
+                    ckpt_us = 0;
+                    pending_restore_us = 0;
+                }
+                TraceKind::CheckpointWritten { cost, .. } => {
+                    ckpt_us += cost.as_micros();
+                }
+                TraceKind::RecoveryPlanned { restore, .. } => {
+                    pending_restore_us = restore.as_micros();
+                }
+                TraceKind::AttemptFailed { .. } => {
+                    if let Some((start, attempt)) = attempt_start.take() {
+                        let span_us = e.at.saturating_since(start).as_micros();
+                        let ck = ckpt_us.min(span_us);
+                        blame.checkpoint += SimDuration::from_micros(ck);
+                        blame.exec += SimDuration::from_micros(span_us - ck);
+                        steps.push(CpStep {
+                            from: start,
+                            to: e.at,
+                            label: format!("attempt {attempt} (failed)"),
+                        });
+                    }
+                    gap_start = Some(e.at);
+                }
+                TraceKind::FunctionCompleted { .. } => {
+                    if let Some((start, attempt)) = attempt_start.take() {
+                        let span_us = e.at.saturating_since(start).as_micros();
+                        let ck = ckpt_us.min(span_us);
+                        blame.checkpoint += SimDuration::from_micros(ck);
+                        blame.exec += SimDuration::from_micros(span_us - ck);
+                        steps.push(CpStep {
+                            from: start,
+                            to: e.at,
+                            label: format!("attempt {attempt} (completed)"),
+                        });
+                    }
+                    if e.at == completed_at {
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        Some(CriticalPath {
+            job,
+            critical_fn,
+            arrived_at,
+            completed_at,
+            blame,
+            steps,
+        })
+    }
+}
+
 /// Compute one job's critical path from a causal trace.
 ///
 /// Returns `None` when the job is absent, never completed a function,
 /// or the trace carries no causal links (nothing to attribute).
 pub fn critical_path(trace: &Trace, job: JobId) -> Option<CriticalPath> {
-    let events = &trace.events;
-    // Arrival defines the job's root span; submission ends the queue.
-    let (arrived_at, root) = events.iter().find_map(|e| match e.kind {
-        TraceKind::JobArrived { job: j } if j == job => Some((e.at, e.span)),
-        _ => None,
-    })?;
-    if root.is_none() {
-        return None;
-    }
-    let submitted_at = events.iter().find_map(|e| match e.kind {
-        TraceKind::JobSubmitted { job: j } if j == job => Some(e.at),
-        _ => None,
-    })?;
-    // The job's functions: attempts whose parent is the job root span.
-    // (fn → job is not derivable from the flat kinds alone; the causal
-    // parent link carries it.)
-    let mut job_fns: BTreeMap<FnId, SimTime> = BTreeMap::new();
-    for e in events {
-        if let TraceKind::AttemptStarted { fn_id, .. } = e.kind {
-            if e.parent == root {
-                job_fns.entry(fn_id).or_insert(e.at);
-            }
-        }
-    }
-    // Critical function: the job's last-completing one.
-    let (critical_fn, completed_at) = events
-        .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::FunctionCompleted { fn_id } if job_fns.contains_key(&fn_id) => {
-                Some((fn_id, e.at))
-            }
-            _ => None,
-        })
-        .max_by_key(|&(f, t)| (t, f))?;
-
-    let mut blame = Blame {
-        queue: submitted_at.saturating_since(arrived_at),
-        ..Blame::default()
-    };
-    let mut steps = Vec::new();
-    if blame.queue > SimDuration::ZERO {
-        steps.push(CpStep {
-            from: arrived_at,
-            to: submitted_at,
-            label: "queue".into(),
-        });
-    }
-    let first_start = job_fns[&critical_fn];
-    blame.admission = first_start.saturating_since(submitted_at);
-    steps.push(CpStep {
-        from: submitted_at,
-        to: first_start,
-        label: "admission + start".into(),
-    });
-
-    // Walk the critical function's own timeline. Attempt windows split
-    // into exec + checkpoint; inter-attempt gaps into restore +
-    // fault-wait. Segments are contiguous from `first_start` to
-    // `completed_at`, so the components sum to the makespan exactly.
-    let mut attempt_start: Option<(SimTime, u32)> = None;
-    let mut ckpt_us = 0u64;
-    let mut gap_start: Option<SimTime> = None;
-    let mut pending_restore_us = 0u64;
-    for e in events {
-        match e.kind {
-            TraceKind::AttemptStarted { fn_id, attempt, .. } if fn_id == critical_fn => {
-                if let Some(gs) = gap_start.take() {
-                    let gap_us = e.at.saturating_since(gs).as_micros();
-                    let restore_us = pending_restore_us.min(gap_us);
-                    blame.restore += SimDuration::from_micros(restore_us);
-                    blame.fault_wait += SimDuration::from_micros(gap_us - restore_us);
-                    steps.push(CpStep {
-                        from: gs,
-                        to: e.at,
-                        label: format!(
-                            "recovery gap (restore {}, wait {})",
-                            SimDuration::from_micros(restore_us),
-                            SimDuration::from_micros(gap_us - restore_us)
-                        ),
-                    });
-                }
-                attempt_start = Some((e.at, attempt));
-                ckpt_us = 0;
-                pending_restore_us = 0;
-            }
-            TraceKind::CheckpointWritten { fn_id, cost, .. } if fn_id == critical_fn => {
-                ckpt_us += cost.as_micros();
-            }
-            TraceKind::RecoveryPlanned { fn_id, restore, .. } if fn_id == critical_fn => {
-                pending_restore_us = restore.as_micros();
-            }
-            TraceKind::AttemptFailed { fn_id, .. } if fn_id == critical_fn => {
-                if let Some((start, attempt)) = attempt_start.take() {
-                    let span_us = e.at.saturating_since(start).as_micros();
-                    let ck = ckpt_us.min(span_us);
-                    blame.checkpoint += SimDuration::from_micros(ck);
-                    blame.exec += SimDuration::from_micros(span_us - ck);
-                    steps.push(CpStep {
-                        from: start,
-                        to: e.at,
-                        label: format!("attempt {attempt} (failed)"),
-                    });
-                }
-                gap_start = Some(e.at);
-            }
-            TraceKind::FunctionCompleted { fn_id } if fn_id == critical_fn => {
-                if let Some((start, attempt)) = attempt_start.take() {
-                    let span_us = e.at.saturating_since(start).as_micros();
-                    let ck = ckpt_us.min(span_us);
-                    blame.checkpoint += SimDuration::from_micros(ck);
-                    blame.exec += SimDuration::from_micros(span_us - ck);
-                    steps.push(CpStep {
-                        from: start,
-                        to: e.at,
-                        label: format!("attempt {attempt} (completed)"),
-                    });
-                }
-                if e.at == completed_at {
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-
-    Some(CriticalPath {
-        job,
-        critical_fn,
-        arrived_at,
-        completed_at,
-        blame,
-        steps,
-    })
+    let index = BlameIndex::build(&trace.events);
+    let &(_, arrival) = rows(&index.arrivals, |r| r.0, job).first()?;
+    index.path(job, arrival)
 }
 
 /// Critical paths for every job that completed, in `JobId` order.
+///
+/// One index serves every job, so the whole run costs O(E log E) in the
+/// trace's event count rather than a trace scan per job.
 pub fn critical_paths(trace: &Trace) -> Vec<CriticalPath> {
-    let mut jobs: Vec<JobId> = trace
-        .events
+    let index = BlameIndex::build(&trace.events);
+    index
+        .arrivals
         .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::JobArrived { job } => Some(job),
-            _ => None,
-        })
-        .collect();
-    jobs.sort();
-    jobs.dedup();
-    jobs.into_iter()
-        .filter_map(|j| critical_path(trace, j))
+        .filter_map(|&(job, arrival)| index.path(job, arrival))
         .collect()
 }
 
@@ -448,7 +514,6 @@ pub fn critical_path_report(trace: &Trace, job: JobId) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canary_platform::TraceEvent;
 
     fn ev(us: u64, span: u64, parent: u64, cause: u64, kind: TraceKind) -> TraceEvent {
         let mut e = TraceEvent::new(SimTime::from_micros(us), kind);
