@@ -34,17 +34,18 @@ fn blessing() -> bool {
 /// Compare `actual` against the committed golden, or rewrite the golden
 /// when blessing. Failure messages name the bless command because the
 /// expected bytes are far too long to eyeball in assert output.
-fn check_golden(name: &str, actual: &str) {
+fn check_golden(name: &str, actual: impl AsRef<[u8]>) {
     let path = golden_path(name);
+    let actual = actual.as_ref();
     if blessing() {
         std::fs::write(&path, actual).unwrap_or_else(|e| panic!("bless {name}: {e}"));
         return;
     }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let expected = std::fs::read(&path).unwrap_or_else(|e| {
         panic!("missing golden {name} ({e}); run with CANARY_BLESS=1 to create it")
     });
     assert!(
-        expected == *actual,
+        expected == actual,
         "{name} drifted from the committed golden; if the change is \
          deliberate, re-bless with CANARY_BLESS=1 and review the diff"
     );
@@ -65,7 +66,7 @@ fn mixed_chaos_traces_match_goldens_for_pinned_seeds() {
         );
         check_golden(
             &format!("chaos_mixed_seed{seed}.jsonl"),
-            &trace_to_jsonl(&result.trace),
+            trace_to_jsonl(&result.trace),
         );
     }
 }
@@ -75,7 +76,7 @@ fn mixed_chaos_recovery_breakdown_matches_golden() {
     let result = mixed_run(42);
     check_golden(
         "chaos_mixed_seed42_recovery.txt",
-        &canary_metrics::recovery_breakdown(&result.trace),
+        canary_metrics::recovery_breakdown(&result.trace),
     );
 }
 
@@ -89,7 +90,7 @@ fn mixed_chaos_blame_matches_golden() {
         .run_instrumented(CANARY, 42);
     check_golden(
         "chaos_mixed_seed42_blame.txt",
-        &canary_metrics::blame_report(&result.trace),
+        canary_metrics::blame_report(&result.trace),
     );
 }
 
@@ -131,8 +132,29 @@ fn controller_crash_trace_matches_golden() {
     assert!(result.counters.wal_records_replayed > 0);
     check_golden(
         "chaos_controller_crash_seed42.jsonl",
-        &trace_to_jsonl(&result.trace),
+        trace_to_jsonl(&result.trace),
     );
+}
+
+#[test]
+fn controller_crash_wal_image_matches_golden() {
+    // The durable image itself, as `canaryctl chaos --scenario
+    // controller-crash --seed 42 --wal-out` dumps it: snapshot region
+    // plus log suffix after the crash-restart and the rest of the run.
+    // Pins the snapshot encoding (global key order, framing, CRCs) and
+    // the compaction points byte for byte.
+    let mut canary = canary_core::CanaryStrategy::new(canary_core::CanaryConfig::with_replication(
+        ReplicationStrategyKind::Dynamic,
+    ));
+    let result = chaos::demo_scenario(chaos::named("controller-crash").expect("scenario"))
+        .run_observed_with(CANARY, &mut canary, 42);
+    assert_eq!(result.counters.controller_crashes, 1);
+    let wal = canary
+        .db()
+        .kv()
+        .wal()
+        .expect("canary metadata db is durable");
+    check_golden("chaos_controller_crash_seed42.wal", wal.to_bytes());
 }
 
 #[test]
