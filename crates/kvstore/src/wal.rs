@@ -37,10 +37,12 @@
 //!
 //! [`ReplicatedKv`]: crate::ReplicatedKv
 
+use crate::store::StoreImage;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"CWAL";
 const VERSION: u32 = 1;
@@ -134,6 +136,14 @@ pub enum WalError {
         /// What failed to decode.
         reason: &'static str,
     },
+    /// The snapshot describes a replica group of another size than the
+    /// group restoring from it.
+    MemberCountMismatch {
+        /// Members recorded in the snapshot.
+        snapshot: usize,
+        /// Members of the restoring group.
+        group: usize,
+    },
 }
 
 impl fmt::Display for WalError {
@@ -151,6 +161,10 @@ impl fmt::Display for WalError {
                 write!(f, "log record at byte {offset} is undecodable: {reason}")
             }
             WalError::SnapshotCorrupt { reason } => write!(f, "snapshot corrupt: {reason}"),
+            WalError::MemberCountMismatch { snapshot, group } => write!(
+                f,
+                "snapshot holds {snapshot} members but the group has {group}"
+            ),
         }
     }
 }
@@ -266,36 +280,17 @@ pub struct SnapshotState {
 }
 
 impl SnapshotState {
-    /// Exact size [`SnapshotState::encode`] will produce, computed without
-    /// materializing the bytes. The compaction hot path installs snapshots
-    /// lazily and only sizes them for stats, so this must track `encode`
-    /// field for field.
-    fn encoded_len(&self) -> usize {
-        let entries: usize = self
-            .entries
-            .iter()
-            .map(|(k, v)| 4 + k.len() + 4 + v.len())
-            .sum();
-        8 + 4 + self.alive.len() + 8 + entries + 4
-    }
-
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        put_u64(&mut out, self.generation);
-        put_u32(&mut out, self.alive.len() as u32);
-        for &a in &self.alive {
-            out.push(a as u8);
-        }
-        put_u64(&mut out, self.entries.len() as u64);
-        for (k, v) in &self.entries {
-            put_u32(&mut out, k.len() as u32);
-            out.extend_from_slice(k);
-            put_u32(&mut out, v.len() as u32);
-            out.extend_from_slice(v);
-        }
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
-        debug_assert_eq!(out.len(), self.encoded_len(), "encoded_len out of step");
+        let payload_bytes = self.entries.iter().map(|(k, v)| k.len() + v.len()).sum();
+        let len = snapshot_encoded_len(self.alive.len(), self.entries.len(), payload_bytes);
+        let mut out = Vec::with_capacity(len);
+        encode_snapshot(
+            self.generation,
+            &self.alive,
+            self.entries.len(),
+            self.entries.iter(),
+            &mut out,
+        );
         out
     }
 
@@ -355,13 +350,87 @@ impl SnapshotState {
     }
 }
 
+/// Exact size of an encoded snapshot region.
+fn snapshot_encoded_len(members: usize, entries: usize, payload_bytes: usize) -> usize {
+    8 + 4 + members + 8 + 8 * entries + payload_bytes + 4
+}
+
+/// Append one snapshot region (see the layout in the module docs) to
+/// `out`. `entries` yields `count` pairs in the order they are written.
+fn encode_snapshot<'a>(
+    generation: u64,
+    alive: &[bool],
+    count: usize,
+    entries: impl Iterator<Item = &'a (Bytes, Bytes)>,
+    out: &mut Vec<u8>,
+) {
+    let start = out.len();
+    put_u64(out, generation);
+    put_u32(out, alive.len() as u32);
+    out.extend(alive.iter().map(|&a| a as u8));
+    put_u64(out, count as u64);
+    for (k, v) in entries {
+        put_u32(out, k.len() as u32);
+        out.extend_from_slice(k);
+        put_u32(out, v.len() as u32);
+        out.extend_from_slice(v);
+    }
+    let crc = crc32(&out[start..]);
+    put_u32(out, crc);
+}
+
+/// The group state a compaction captures, held the way the store holds
+/// it: the generation, the liveness bitmap and one live member's entries
+/// as a [`StoreImage`] (one key-ordered run per shard). Encoding merges
+/// the runs into global key order, so the bytes are exactly those of the
+/// equivalent key-sorted [`SnapshotState`].
+#[derive(Debug)]
+pub(crate) struct SnapshotImage {
+    /// Membership generation at the snapshot point.
+    pub(crate) generation: u64,
+    /// Liveness flag per member.
+    pub(crate) alive: Vec<bool>,
+    /// Contents of the first live member (empty on total outage).
+    pub(crate) store: StoreImage,
+}
+
+impl SnapshotImage {
+    /// Lay `state`'s entries out for a store of `shards` shards.
+    fn from_state(state: SnapshotState, shards: usize) -> Self {
+        SnapshotImage {
+            generation: state.generation,
+            alive: state.alive,
+            store: StoreImage::partition(state.entries, shards),
+        }
+    }
+
+    /// The key-sorted public form.
+    fn to_state(&self) -> SnapshotState {
+        SnapshotState {
+            generation: self.generation,
+            alive: self.alive.clone(),
+            entries: self.store.sorted().cloned().collect(),
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        snapshot_encoded_len(
+            self.alive.len(),
+            self.store.len(),
+            self.store.payload_bytes(),
+        )
+    }
+}
+
 /// Everything recovered from a WAL: the latest snapshot (if one was ever
 /// installed), the ops appended after it, and where a torn tail (if any)
-/// cut the log short.
+/// cut the log short. The public form carries a key-sorted
+/// [`SnapshotState`]; a restoring group reads the snapshot in its own
+/// shard layout instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalReplay {
+pub struct WalReplay<S = SnapshotState> {
     /// Latest installed snapshot, or `None` if the log never compacted.
-    pub snapshot: Option<SnapshotState>,
+    pub snapshot: Option<S>,
     /// Ops appended after the snapshot, in append order.
     pub ops: Vec<WalOp>,
     /// Byte offset (within the log region) of a torn trailing record that
@@ -405,18 +474,18 @@ pub struct WalStats {
 }
 
 /// The snapshot region: either raw encoded bytes (images opened with
-/// [`Wal::from_bytes`], or the empty never-compacted state) or the state
-/// captured at install time with encoding deferred. Encoding is pure, so
-/// materializing later yields byte-identical output; deferral turns the
-/// compaction hot path's O(store) byte serialization into a refcounted
-/// handle copy, paid only if an image or a replay-after-decode actually
-/// needs the bytes.
+/// [`Wal::from_bytes`], snapshots installed from a [`SnapshotState`], or
+/// the empty never-compacted state) or a compaction's [`SnapshotImage`],
+/// shared behind an `Arc` so a restart reads it without a copy. The image
+/// is encoded only when an image is asked for ([`Wal::to_bytes`]), which
+/// turns the compaction hot path's O(store) serialization into a flat
+/// copy of refcounted handles.
 #[derive(Debug)]
 enum SnapshotRepr {
     /// Encoded snapshot region (empty = never compacted).
     Encoded(Vec<u8>),
-    /// Install-time state; encoded on demand.
-    Lazy(SnapshotState),
+    /// Compaction-time image; encoded on demand.
+    Image(Arc<SnapshotImage>),
 }
 
 impl Default for SnapshotRepr {
@@ -425,25 +494,36 @@ impl Default for SnapshotRepr {
     }
 }
 
+impl SnapshotRepr {
+    fn encoded_len(&self) -> usize {
+        match self {
+            SnapshotRepr::Encoded(bytes) => bytes.len(),
+            SnapshotRepr::Image(image) => image.encoded_len(),
+        }
+    }
+
+    /// Append the encoded snapshot region to `out`. This and
+    /// [`Wal::replay`] are the only places an image is merged into global
+    /// key order.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            SnapshotRepr::Encoded(bytes) => out.extend_from_slice(bytes),
+            SnapshotRepr::Image(image) => encode_snapshot(
+                image.generation,
+                &image.alive,
+                image.store.len(),
+                image.store.sorted(),
+                out,
+            ),
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct WalInner {
     snapshot: SnapshotRepr,
     log: Vec<u8>,
     stats: WalStats,
-}
-
-impl WalInner {
-    /// The encoded snapshot region, materializing (and caching) a lazy
-    /// snapshot on first use.
-    fn snapshot_encoded(&mut self) -> &Vec<u8> {
-        if let SnapshotRepr::Lazy(state) = &self.snapshot {
-            self.snapshot = SnapshotRepr::Encoded(state.encode());
-        }
-        match &self.snapshot {
-            SnapshotRepr::Encoded(bytes) => bytes,
-            SnapshotRepr::Lazy(_) => unreachable!("just materialized"),
-        }
-    }
 }
 
 /// An in-memory write-ahead log with length-prefix + CRC framing and
@@ -530,18 +610,18 @@ impl Wal {
     /// Install a compacting snapshot: replaces the snapshot region and
     /// truncates the log.
     pub fn install_snapshot(&self, snap: &SnapshotState) {
-        self.install_snapshot_owned(snap.clone());
+        self.install(SnapshotRepr::Encoded(snap.encode()));
     }
 
-    /// [`Wal::install_snapshot`] without the defensive clone, for callers
-    /// that hand over a freshly captured state.
-    pub fn install_snapshot_owned(&self, snap: SnapshotState) {
+    /// Install a compaction's image without encoding it.
+    pub(crate) fn install_image(&self, image: SnapshotImage) {
+        self.install(SnapshotRepr::Image(Arc::new(image)));
+    }
+
+    fn install(&self, snapshot: SnapshotRepr) {
         let mut inner = self.inner.lock();
-        inner.stats.snapshot_bytes = snap.encoded_len() as u64;
-        // Deferred encode: holding the state is refcounted-handle cheap,
-        // while serializing the whole store here would make every
-        // compaction O(store bytes) on the metadata hot path.
-        inner.snapshot = SnapshotRepr::Lazy(snap);
+        inner.stats.snapshot_bytes = snapshot.encoded_len() as u64;
+        inner.snapshot = snapshot;
         inner.log.clear();
         inner.stats.records_since_snapshot = 0;
         inner.stats.snapshots_installed += 1;
@@ -549,16 +629,47 @@ impl Wal {
 
     /// Replay the WAL: decode the snapshot (if any) and every complete
     /// record after it. A torn tail stops replay cleanly; mid-log
-    /// corruption is a typed error.
+    /// corruption is a typed error. The snapshot's entries come back in
+    /// key order.
     pub fn replay(&self) -> Result<WalReplay, WalError> {
+        self.replay_with(|snapshot| match snapshot {
+            SnapshotRepr::Encoded(bytes) if bytes.is_empty() => Ok(None),
+            SnapshotRepr::Encoded(bytes) => SnapshotState::decode(bytes).map(Some),
+            SnapshotRepr::Image(image) => Ok(Some(image.to_state())),
+        })
+    }
+
+    /// [`Wal::replay`] for a restart of a group whose stores have `shards`
+    /// shards: the snapshot comes back laid out for those stores. A
+    /// compaction's image in that layout is shared, not copied; decoded
+    /// bytes (or an image in another layout) are partitioned by shard
+    /// first, so every restart loads through one path.
+    pub(crate) fn replay_image(
+        &self,
+        shards: usize,
+    ) -> Result<WalReplay<Arc<SnapshotImage>>, WalError> {
+        self.replay_with(|snapshot| match snapshot {
+            SnapshotRepr::Encoded(bytes) if bytes.is_empty() => Ok(None),
+            SnapshotRepr::Encoded(bytes) => {
+                let state = SnapshotState::decode(bytes)?;
+                Ok(Some(Arc::new(SnapshotImage::from_state(state, shards))))
+            }
+            SnapshotRepr::Image(image) if image.store.shard_count() == shards => {
+                Ok(Some(Arc::clone(image)))
+            }
+            SnapshotRepr::Image(image) => Ok(Some(Arc::new(SnapshotImage::from_state(
+                image.to_state(),
+                shards,
+            )))),
+        })
+    }
+
+    fn replay_with<S>(
+        &self,
+        snapshot: impl FnOnce(&SnapshotRepr) -> Result<Option<S>, WalError>,
+    ) -> Result<WalReplay<S>, WalError> {
         let inner = self.inner.lock();
-        let snapshot = match &inner.snapshot {
-            SnapshotRepr::Encoded(bytes) if bytes.is_empty() => None,
-            SnapshotRepr::Encoded(bytes) => Some(SnapshotState::decode(bytes)?),
-            // Encode→decode round-trips exactly, so replaying the lazy
-            // form skips both halves.
-            SnapshotRepr::Lazy(state) => Some(state.clone()),
-        };
+        let snapshot = snapshot(&inner.snapshot)?;
         let (ops, torn_at) = replay_log(&inner.log)?;
         let replayed_bytes = torn_at.unwrap_or(inner.log.len() as u64);
         Ok(WalReplay {
@@ -596,13 +707,14 @@ impl Wal {
 
     /// Serialize to the on-"disk" image form.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut inner = self.inner.lock();
-        let snapshot_len = inner.snapshot_encoded().len();
+        let inner = self.inner.lock();
+        let snapshot_len = inner.snapshot.encoded_len();
         let mut out = Vec::with_capacity(16 + snapshot_len + inner.log.len());
         out.extend_from_slice(MAGIC);
         put_u32(&mut out, VERSION);
         put_u64(&mut out, snapshot_len as u64);
-        out.extend_from_slice(inner.snapshot_encoded());
+        inner.snapshot.encode_into(&mut out);
+        debug_assert_eq!(out.len(), 16 + snapshot_len, "encoded_len out of step");
         out.extend_from_slice(&inner.log);
         out
     }
