@@ -63,7 +63,46 @@ use canary_core::ReplicationStrategyKind;
 use canary_experiments::{chaos, export, ObsOptions, Scenario, StrategyKind, PRICING};
 use canary_platform::{JobSpec, TraceKind};
 use canary_workloads::{WorkloadKind, WorkloadSpec};
+use std::io::Write as _;
 use std::process::exit;
+
+/// `print!` for everything canaryctl writes to stdout. A reader that
+/// stopped reading (`canaryctl wal --in W | head -1`) ends the run with
+/// exit 0, as the shell expects of a filter; any other stdout error exits
+/// 1. The std macros would panic instead.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        if let Err(e) = std::io::stdout().lock().write_fmt(format_args!($($arg)*)) {
+            exit_on_stdout_error(e)
+        }
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+macro_rules! outln {
+    () => { out!("\n") };
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
+fn exit_on_stdout_error(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        exit(0)
+    }
+    eprintln!("cannot write to stdout: {e}");
+    exit(1)
+}
+
+/// Export one run's observability output; a closed stdout exits 0 as in
+/// [`out!`], any other failure exits 1.
+fn export_or_exit(result: &canary_platform::RunResult, obs: &ObsOptions) {
+    if let Err(e) = export::export_result(result, obs) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(0)
+        }
+        eprintln!("observability export failed: {e}");
+        exit(1)
+    }
+}
 
 #[derive(Debug)]
 struct Args {
@@ -226,7 +265,7 @@ fn chaos_main(raw: Vec<String>) {
             "--wal-out" => wal_out = Some(value("--wal-out")),
             "--list" => {
                 for name in chaos::SCENARIOS {
-                    println!("{name}");
+                    outln!("{name}");
                 }
                 return;
             }
@@ -273,7 +312,7 @@ fn chaos_main(raw: Vec<String>) {
                         eprintln!("cannot write {path}: {e}");
                         exit(1)
                     });
-                    println!("wal image -> {path} ({} bytes)", bytes.len());
+                    outln!("wal image -> {path} ({} bytes)", bytes.len());
                 }
                 None => eprintln!("note: durability is off (CANARY_NO_WAL); no WAL to dump"),
             }
@@ -284,11 +323,11 @@ fn chaos_main(raw: Vec<String>) {
     };
 
     let source = spec_path.unwrap_or(scenario_name);
-    println!(
+    outln!(
         "chaos run: {source} strategy={} seed={seed}",
         strategy.label()
     );
-    println!(
+    outln!(
         "completed {}/{} functions, makespan {:.1} s",
         result.completed_count(),
         expected,
@@ -348,14 +387,11 @@ fn chaos_main(raw: Vec<String>) {
             result.counters.wal_records_replayed as usize,
         ),
     ] {
-        println!("  {label:<22} {count}");
+        outln!("  {label:<22} {count}");
     }
     if obs.any() {
-        println!();
-        export::export_result(&result, &obs).unwrap_or_else(|e| {
-            eprintln!("observability export failed: {e}");
-            exit(1)
-        });
+        outln!();
+        export_or_exit(&result, &obs);
     }
     if result.completed_count() != expected as usize {
         eprintln!(
@@ -436,7 +472,7 @@ fn load_main(raw: Vec<String>) {
             StrategyKind::Canary(ReplicationStrategyKind::Dynamic),
         ];
     }
-    println!(
+    outln!(
         "open-loop load sweep: {} jobs/point, rates {:?} jobs/s, \
          max_inflight={}, error rate {:.0}%, seed {}\n",
         cfg.jobs,
@@ -446,13 +482,13 @@ fn load_main(raw: Vec<String>) {
         cfg.run_seed
     );
     let points = run_study(&cfg, &strategies);
-    print!("{}", study_table(&points));
+    out!("{}", study_table(&points));
     if let Some(path) = out {
         std::fs::write(&path, study_to_json(&cfg, mode, &points)).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             exit(1)
         });
-        println!("\nwrote {path}");
+        outln!("\nwrote {path}");
     }
 }
 
@@ -528,13 +564,13 @@ fn trace_main(raw: Vec<String>) {
         eprintln!("spans -> {path}");
     }
     if let Some(id) = job {
-        print!(
+        out!(
             "{}",
             canary_metrics::critical_path_report(&trace, canary_platform::JobId(id))
         );
     }
     if blame || (perfetto.is_none() && spans.is_none() && job.is_none()) {
-        print!("{}", canary_metrics::blame_report(&trace));
+        out!("{}", canary_metrics::blame_report(&trace));
     }
 }
 
@@ -602,7 +638,7 @@ fn wal_main(raw: Vec<String>) {
         exit(1)
     });
     let stats = wal.stats();
-    println!(
+    outln!(
         "wal image: {} bytes ({} snapshot + {} log)",
         bytes.len(),
         stats.snapshot_bytes,
@@ -616,26 +652,26 @@ fn wal_main(raw: Vec<String>) {
                 .enumerate()
                 .map(|(i, a)| format!("{i}{}", if *a { "+" } else { "-" }))
                 .collect();
-            println!(
+            outln!(
                 "snapshot: generation {}, members [{}], {} entries",
                 snap.generation,
                 alive.join(" "),
                 snap.entries.len()
             );
         }
-        None => println!("snapshot: none (log never compacted)"),
+        None => outln!("snapshot: none (log never compacted)"),
     }
-    println!(
+    outln!(
         "log: {} records, {} bytes replayed",
         replay.ops.len(),
         replay.replayed_bytes
     );
     for (i, op) in replay.ops.iter().enumerate() {
-        println!("  [{i:>4}] {}", wal_op_line(op));
+        outln!("  [{i:>4}] {}", wal_op_line(op));
     }
     match replay.torn_at {
-        Some(offset) => println!("torn tail at log offset {offset} (discarded on replay)"),
-        None => println!("clean tail (log ends on a record boundary)"),
+        Some(offset) => outln!("torn tail at log offset {offset} (discarded on replay)"),
+        None => outln!("clean tail (log ends on a record boundary)"),
     }
 }
 
@@ -670,7 +706,7 @@ fn main() {
     scenario.nodes = args.nodes;
     scenario.node_failure_rate = args.node_failures;
 
-    println!(
+    outln!(
         "workload={} invocations={} rate={:.0}% nodes={} reps={} seed={}\n",
         args.workload,
         args.invocations,
@@ -679,13 +715,18 @@ fn main() {
         args.reps,
         args.seed
     );
-    println!(
+    outln!(
         "{:<12} {:>13} {:>15} {:>12} {:>11} {:>9}",
-        "strategy", "makespan (s)", "recovery (s)", "failures", "cost ($)", "cv (%)"
+        "strategy",
+        "makespan (s)",
+        "recovery (s)",
+        "failures",
+        "cost ($)",
+        "cv (%)"
     );
     for &strategy in &args.strategies {
         let rep = scenario.run_repeated(strategy, args.reps);
-        println!(
+        outln!(
             "{:<12} {:>13.1} {:>15.1} {:>12.1} {:>11.4} {:>9.2}",
             rep.strategy(),
             rep.makespan().mean,
@@ -696,16 +737,13 @@ fn main() {
         );
     }
     if args.obs.any() {
-        println!();
+        outln!();
         let observed = if args.obs.needs_causal() {
             scenario.run_instrumented(args.strategies[0], args.seed)
         } else {
             scenario.run_observed(args.strategies[0], args.seed)
         };
-        export::export_result(&observed, &args.obs).unwrap_or_else(|e| {
-            eprintln!("observability export failed: {e}");
-            exit(1)
-        });
+        export_or_exit(&observed, &args.obs);
     }
     let _ = PRICING;
 }

@@ -439,21 +439,30 @@ pub fn export_result(result: &RunResult, opts: &ObsOptions) -> std::io::Result<(
         std::fs::write(path, spans_to_jsonl(&result.trace))?;
         eprintln!("spans -> {}", path.display());
     }
+    // Stdout errors propagate (a closed pipe included), so the caller
+    // decides how a reader that went away ends the run.
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
     if opts.timeline {
-        print!("{}", canary_metrics::swimlane(&result.trace));
-        println!();
-        print!("{}", canary_metrics::recovery_breakdown(&result.trace));
-        println!();
-        print!("{}", canary_metrics::counters_summary(&result.counters));
-        println!();
-        print!("{}", canary_metrics::telemetry_summary(&result.telemetry));
+        writeln!(out, "{}", canary_metrics::swimlane(&result.trace))?;
+        writeln!(out, "{}", canary_metrics::recovery_breakdown(&result.trace))?;
+        writeln!(
+            out,
+            "{}",
+            canary_metrics::counters_summary(&result.counters)
+        )?;
+        write!(
+            out,
+            "{}",
+            canary_metrics::telemetry_summary(&result.telemetry)
+        )?;
         if result.profile.enabled {
-            println!();
-            print!("{}", canary_metrics::hot_path_report(&result.profile));
+            writeln!(out)?;
+            write!(out, "{}", canary_metrics::hot_path_report(&result.profile))?;
         }
     }
     if opts.blame {
-        print!("{}", canary_metrics::blame_report(&result.trace));
+        write!(out, "{}", canary_metrics::blame_report(&result.trace))?;
     }
     Ok(())
 }

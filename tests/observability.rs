@@ -7,7 +7,7 @@ use canary_experiments::{chaos, trace_from_jsonl, trace_to_jsonl, Scenario, Stra
 use canary_platform::{JobSpec, Phase, TraceKind};
 use canary_workloads::{WorkloadKind, WorkloadSpec};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 const CANARY: StrategyKind = StrategyKind::Canary(ReplicationStrategyKind::Dynamic);
 
@@ -415,4 +415,33 @@ fn canaryctl_exports_trace_timeline_and_telemetry() {
         .any(|l| l.contains("\"phase\":\"recovery_e2e\"")));
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn canaryctl_exits_cleanly_when_the_reader_closes_stdout() {
+    // `canaryctl wal --in W | head -1`: the reader closes the pipe early,
+    // and canaryctl must end with exit 0 instead of panicking on the
+    // broken pipe — both in its own printing and in the timeline export.
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/goldens/chaos_controller_crash_seed42.wal");
+    let golden = golden.to_str().unwrap();
+    for args in [
+        vec!["wal", "--in", golden],
+        vec!["chaos", "--scenario", "mixed", "--seed", "42", "--timeline"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_canaryctl"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("canaryctl starts");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("canaryctl finishes");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success() && !stderr.contains("panicked"),
+            "canaryctl {args:?} with a closed stdout: {:?}\n{stderr}",
+            out.status
+        );
+    }
 }
